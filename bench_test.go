@@ -1,300 +1,37 @@
 package lukewarm
 
-import (
-	"testing"
+import "testing"
 
-	"lukewarm/internal/workload"
-)
-
-// Each benchmark regenerates one figure or table of the paper (DESIGN.md
-// maps them). They run on reduced options — a cross-language subset and few
-// measured invocations — so the whole harness completes in minutes; the
-// cmd/lukewarm binary runs the full-fidelity versions. Key reproduced
-// quantities are attached as custom benchmark metrics.
-
-// benchOpt is the reduced option set shared by the benchmarks.
+// benchOpt is the reduced option set of BenchmarkExperiments: a
+// cross-language subset, few measured invocations and eight traced
+// footprints, so the whole registry regenerates in minutes; the
+// cmd/lukewarm binary runs the full-fidelity versions.
 var benchOpt = ExperimentOptions{
-	Functions: []string{"Auth-G", "ProdL-G", "Email-P", "Pay-N", "AES-P"},
-	Warmup:    1,
-	Measure:   2,
+	Functions:            []string{"Auth-G", "ProdL-G", "Email-P", "Pay-N", "AES-P"},
+	Warmup:               1,
+	Measure:              2,
+	Seed:                 42,
+	FootprintInvocations: 8,
 }
 
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if Table1().NumRows() == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkExperiments regenerates every experiment of the registry, one
+// sub-benchmark each (DESIGN.md maps them to the paper), and reports each
+// headline quantity as a custom metric.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			var out ExperimentOutput
+			for i := 0; i < b.N; i++ {
+				var err error
+				if out, err = e.Run(benchOpt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for k, v := range out.Headline {
+				b.ReportMetric(v, k)
+			}
+		})
 	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if Table2().NumRows() != 20 {
-			b.Fatal("wrong suite size")
-		}
-	}
-}
-
-func BenchmarkFig1(b *testing.B) {
-	var saturated float64
-	for i := 0; i < b.N; i++ {
-		r, err := Fig1(ExperimentOptions{Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		saturated = r.Rows[len(r.Rows)-1].NormCPI["Auth-P"]
-	}
-	b.ReportMetric(saturated, "saturatedCPI%")
-}
-
-func BenchmarkFig2(b *testing.B) {
-	var uplift float64
-	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		uplift = r.MeanUplift() * 100
-		_ = r.Fig2Table()
-	}
-	b.ReportMetric(uplift, "CPIuplift%")
-}
-
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = r.Fig3Table()
-	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	var share float64
-	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		share = r.Fig4FetchLatencyShare() * 100
-		_ = r.Fig4Table()
-	}
-	b.ReportMetric(share, "fetchLatShare%")
-}
-
-func BenchmarkFig5a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = r.Fig5aTable()
-	}
-}
-
-func BenchmarkFig5b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = r.Fig5bTable()
-	}
-}
-
-func BenchmarkFig6a(b *testing.B) {
-	var meanKB float64
-	for i := 0; i < b.N; i++ {
-		r, err := Footprints(ExperimentOptions{Functions: benchOpt.Functions}, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanKB = r.MeanFootprintKB()
-		_ = r.Fig6aTable()
-	}
-	b.ReportMetric(meanKB, "footprintKB")
-}
-
-func BenchmarkFig6b(b *testing.B) {
-	var high float64
-	for i := 0; i < b.N; i++ {
-		r, err := Footprints(ExperimentOptions{Functions: benchOpt.Functions}, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		high = float64(r.HighCommonalityCount())
-		_ = r.Fig6bTable()
-	}
-	b.ReportMetric(high, "fns>=0.9")
-}
-
-func BenchmarkFig8(b *testing.B) {
-	var best float64
-	for i := 0; i < b.N; i++ {
-		r, err := Fig8(ExperimentOptions{Functions: benchOpt.Functions, Measure: 1}, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = float64(r.BestRegionSize())
-		_ = r.Table()
-	}
-	b.ReportMetric(best, "bestRegionB")
-}
-
-func BenchmarkFig9(b *testing.B) {
-	var g16 float64
-	for i := 0; i < b.N; i++ {
-		r, err := Fig9(ExperimentOptions{Functions: workload.Representatives(), Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		g16 = r.Rows[2].SpeedupPct["GEOMEAN"]
-		_ = r.Table()
-	}
-	b.ReportMetric(g16, "speedup16KB%")
-}
-
-func BenchmarkFig10(b *testing.B) {
-	var jb, pf float64
-	for i := 0; i < b.N; i++ {
-		r, err := Performance(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jb, pf = r.GeomeanSpeedups()
-		_ = r.Fig10Table()
-	}
-	b.ReportMetric(jb, "jukebox%")
-	b.ReportMetric(pf, "perfectI$%")
-}
-
-func BenchmarkFig11(b *testing.B) {
-	var cov float64
-	for i := 0; i < b.N; i++ {
-		r, err := Performance(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		covered, _, _ := r.Rows[0].Coverage()
-		cov = covered * 100
-		_ = r.Fig11Table()
-	}
-	b.ReportMetric(cov, "coverage%")
-}
-
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := Performance(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = r.Fig12Table()
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	var jb, ideal float64
-	for i := 0; i < b.N; i++ {
-		r, err := Fig13(ExperimentOptions{Functions: workload.Representatives(), Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jb = r.SpeedupPct["JB"]["GEOMEAN"]
-		ideal = r.SpeedupPct["PIF-ideal"]["GEOMEAN"]
-		_ = r.Table()
-	}
-	b.ReportMetric(jb, "jukebox%")
-	b.ReportMetric(ideal, "pifIdeal%")
-}
-
-func BenchmarkTable3(b *testing.B) {
-	var bdw float64
-	for i := 0; i < b.N; i++ {
-		r, err := Table3(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bdw = r.GeomeanSpeedupPct["Broadwell"]
-		_ = r.Table()
-	}
-	b.ReportMetric(bdw, "broadwell%")
-}
-
-func BenchmarkAblationCRRB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := CRRBAblation(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = r.Table()
-	}
-}
-
-func BenchmarkAblationCompaction(b *testing.B) {
-	var virt float64
-	for i := 0; i < b.N; i++ {
-		r, err := Compaction(ExperimentOptions{Functions: []string{"Auth-G"}, Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		virt = r.Coverage["virtual"] * 100
-		_ = r.Table()
-	}
-	b.ReportMetric(virt, "virtCoverage%")
-}
-
-func BenchmarkExtensionSnapshot(b *testing.B) {
-	var sp float64
-	for i := 0; i < b.N; i++ {
-		r, err := Snapshot(ExperimentOptions{Functions: []string{"Auth-G", "ProdL-G"}, Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp = r.FirstInvocationSpeedupPct
-		_ = r.Table()
-	}
-	b.ReportMetric(sp, "firstInv%")
-}
-
-func BenchmarkExtensionBaselines(b *testing.B) {
-	var recap float64
-	for i := 0; i < b.N; i++ {
-		r, err := Baselines(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		recap = r.BandwidthPct["RECAP"]
-		_ = r.Table()
-	}
-	b.ReportMetric(recap, "recapBW%")
-}
-
-func BenchmarkExtensionServerSim(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		r, err := ServerSim(ExperimentOptions{Warmup: 1, Measure: 1,
-			Functions: []string{"Auth-G", "Email-P", "Pay-N", "Geo-G", "Prof-G", "Curr-N", "RecO-P", "ProdL-G"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = r.ThroughputGainPct
-		_ = r.Table()
-	}
-	b.ReportMetric(gain, "throughput%")
-}
-
-func BenchmarkExtensionScaling(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		r, err := Scaling(ExperimentOptions{Warmup: 1, Measure: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = r.Rows[len(r.Rows)-1].JukeboxGainPct
-		_ = r.Table()
-	}
-	b.ReportMetric(gain, "gain4core%")
 }
 
 // BenchmarkExtensionCluster measures the fault-tolerant fleet simulation:

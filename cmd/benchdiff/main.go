@@ -26,6 +26,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // entry mirrors cmd/benchjson's output element.
@@ -107,12 +108,39 @@ func latestPair(dir string) (string, string, error) {
 	return snaps[len(snaps)-2].path, snaps[len(snaps)-1].path, nil
 }
 
+// trimProcs renames the new snapshot's benchmarks that carry go test's
+// "-N" GOMAXPROCS suffix to their bare names when only the bare name is in
+// the old snapshot — a multi-core snapshot written before cmd/benchjson
+// stripped the suffix. Exact names win, so a sub-benchmark whose own name
+// ends in -<digits> is never renamed.
+func trimProcs(oldM, newM map[key]float64) map[key]float64 {
+	inOld, inNew := map[string]bool{}, map[string]bool{}
+	for k := range oldM {
+		inOld[k.bench] = true
+	}
+	for k := range newM {
+		inNew[k.bench] = true
+	}
+	out := make(map[key]float64, len(newM))
+	for k, v := range newM {
+		if i := strings.LastIndexByte(k.bench, '-'); i >= 0 && !inOld[k.bench] {
+			bare := k.bench[:i]
+			if _, err := strconv.Atoi(k.bench[i+1:]); err == nil && inOld[bare] && !inNew[bare] {
+				k.bench = bare
+			}
+		}
+		out[k] = v
+	}
+	return out
+}
+
 // compare diffs every metric present in both snapshots. rows holds one
 // rendered table line per shared metric in (bench, metric) order; failures
 // holds one message per tripped gate — the gated throughput metric past
 // threshold, any over-threshold regression when strict is set, and the gated
 // metric going missing from the new snapshot.
 func compare(oldM, newM map[key]float64, threshold float64, strict bool) (rows, failures []string) {
+	newM = trimProcs(oldM, newM)
 	keys := make([]key, 0, len(newM))
 	for k := range newM {
 		if _, ok := oldM[k]; ok {

@@ -110,3 +110,21 @@ func TestLatestPair(t *testing.T) {
 		t.Fatal("empty dir produced a pair")
 	}
 }
+
+// TestCompareSuffixedHead pins the GOMAXPROCS-suffix tolerance: a head
+// snapshot taken on a 4-core host with the -4 suffix still in its names
+// lines up with an unsuffixed base, the gated metric included.
+func TestCompareSuffixedHead(t *testing.T) {
+	oldM := mustLoad(t, "BENCH_1.json")
+	newM := map[key]float64{}
+	for k, v := range oldM {
+		newM[key{k.bench + "-4", k.metric}] = v
+	}
+	rows, failures := compare(oldM, newM, 10, true)
+	if len(failures) != 0 {
+		t.Fatalf("suffixed head failed: %v", failures)
+	}
+	if got := countStatus(rows, "ok"); got != len(oldM) {
+		t.Fatalf("got %d ok rows, want %d:\n%s", got, len(oldM), strings.Join(rows, "\n"))
+	}
+}

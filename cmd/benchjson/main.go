@@ -11,6 +11,11 @@
 // the iteration count, and every reported metric (ns/op, B/op, custom
 // b.ReportMetric units). Non-benchmark lines are ignored, so the tool
 // tolerates interleaved PASS/ok/pkg chatter.
+//
+// go test appends "-N" to every benchmark name when GOMAXPROCS is N > 1;
+// benchjson strips exactly that suffix, so snapshots from hosts with
+// different core counts name the same benchmarks alike. N is this
+// process's GOMAXPROCS, which matches the go test feeding the pipe.
 package main
 
 import (
@@ -18,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -32,9 +38,14 @@ type record struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// parse consumes go test -bench output and returns the records in input
-// order.
-func parse(sc *bufio.Scanner) ([]record, error) {
+// parse consumes go test -bench output produced under GOMAXPROCS procs and
+// returns the records in input order.
+func parse(sc *bufio.Scanner, procs int) ([]record, error) {
+	// testing names a benchmark name+"-N" exactly when N != 1.
+	suffix := ""
+	if procs != 1 {
+		suffix = "-" + strconv.Itoa(procs)
+	}
 	var recs []record
 	pkg := ""
 	for sc.Scan() {
@@ -55,7 +66,7 @@ func parse(sc *bufio.Scanner) ([]record, error) {
 		if err != nil {
 			continue
 		}
-		r := record{Name: fields[0], Package: pkg, Iterations: iters, Metrics: map[string]float64{}}
+		r := record{Name: strings.TrimSuffix(fields[0], suffix), Package: pkg, Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -71,7 +82,7 @@ func parse(sc *bufio.Scanner) ([]record, error) {
 func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	recs, err := parse(sc)
+	recs, err := parse(sc, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -1,18 +1,18 @@
 // Command lukewarm regenerates the paper's figures and tables from the
-// simulator. Each subcommand corresponds to one figure/table (see DESIGN.md
-// for the index); `all` runs everything in paper order.
+// simulator, plus the repository's ablations and extensions. Every
+// experiment of the registry is a subcommand, as is each table an
+// experiment can render alone; `lukewarm -h` lists them, and `all` runs
+// every experiment in registry order. The extra `check` subcommand runs the
+// differential-oracle and metamorphic-property validation battery
+// (internal/check) instead of an experiment.
 //
 // Usage:
 //
 //	lukewarm [-measure N] [-warmup N] [-funcs Auth-G,Email-P] [-jobs N] <experiment>
 //
-// Experiments: table1 table2 fig1 fig2 fig3 fig4 fig5a fig5b fig6a fig6b
-// fig8 fig9 fig10 fig11 fig12 fig13 table3 crrb compaction snapshot dynmeta
-// baselines server scaling sched chaos cluster all. The -csv flag mirrors every table into
-// machine-readable CSV files; -audit cross-checks every measured invocation
-// against the simulator's conservation invariants. The extra `check`
-// subcommand runs the differential-oracle and metamorphic-property
-// validation battery (internal/check) instead of an experiment.
+// The -csv flag mirrors every table into machine-readable CSV files; -audit
+// cross-checks every measured invocation against the simulator's
+// conservation invariants.
 //
 // Every experiment's measurements run as independent simulation cells on a
 // worker pool (-jobs, default GOMAXPROCS) with a content-addressed result
@@ -24,8 +24,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -36,84 +39,92 @@ import (
 	"lukewarm"
 )
 
-func main() {
-	measure := flag.Int("measure", 0, "measured invocations per configuration (0 = default)")
-	warmup := flag.Int("warmup", 0, "warm-up invocations per configuration (0 = default)")
-	noWarmup := flag.Bool("nowarmup", false, "run with zero warm-up invocations")
-	funcs := flag.String("funcs", "", "comma-separated function subset (default: all 20)")
-	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
-	audit := flag.Bool("audit", false, "check conservation invariants on every measured invocation")
-	seed := flag.Uint64("seed", 42, "fault-injection seed for the chaos experiment")
-	jobs := flag.Int("jobs", 0, "simulation cells run concurrently (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache", "", "persist the content-addressed result cache in this directory")
-	progress := flag.Bool("progress", false, "stream per-cell progress lines to stderr")
-	reportPath := flag.String("report", "", "write a JSON run report (wall time, cells, cache hits, headline metrics) to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	flag.Usage = usage
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() != 1 {
-		usage()
-		os.Exit(2)
+// run executes one command line and returns the process exit status: 0 on
+// success, 1 when the run fails, 2 on a usage error. Tables go to stdout,
+// diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lukewarm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	measure := fs.Int("measure", 0, "measured invocations per configuration (0 = default)")
+	warmup := fs.Int("warmup", 0, "warm-up invocations per configuration (0 = default)")
+	noWarmup := fs.Bool("nowarmup", false, "run with zero warm-up invocations")
+	funcs := fs.String("funcs", "", "comma-separated function subset (default: all 20)")
+	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
+	audit := fs.Bool("audit", false, "check conservation invariants on every measured invocation")
+	seed := fs.Uint64("seed", 42, "fault-injection seed for the chaos experiment")
+	jobs := fs.Int("jobs", 0, "simulation cells run concurrently (0 = GOMAXPROCS)")
+	cacheDir := fs.String("cache", "", "persist the content-addressed result cache in this directory")
+	progress := fs.Bool("progress", false, "stream per-cell progress lines to stderr")
+	reportPath := fs.String("report", "", "write a JSON run report (wall time, cells, cache hits, headline metrics) to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lukewarm:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lukewarm:", err)
+		return 1
 	}
-	// exit flushes the profiles before terminating: every exit path below
-	// this point must use it, or a profiled failing run writes no profile.
-	exit := func(code int) {
-		stopProfiles()
-		os.Exit(code)
-	}
+	// Flushes the profiles on every return path, so a profiled failing run
+	// still writes them.
+	defer stopProfiles()
 	engCfg := lukewarm.EngineConfig{Jobs: *jobs, CacheDir: *cacheDir}
 	if *progress {
-		engCfg.Progress = os.Stderr
+		engCfg.Progress = stderr
 	}
 	eng, err := lukewarm.NewEngine(engCfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lukewarm:", err)
-		exit(1)
+		fmt.Fprintln(stderr, "lukewarm:", err)
+		return 1
 	}
 	opt := lukewarm.ExperimentOptions{
 		Measure: *measure, Warmup: *warmup, NoWarmup: *noWarmup,
-		Audit: *audit, Engine: eng,
+		Audit: *audit, Engine: eng, Seed: *seed,
 	}
 	if *funcs != "" {
 		opt.Functions = strings.Split(*funcs, ",")
 	}
 	s := &session{
-		p:    printer{csvDir: *csvDir},
-		opt:  opt,
-		eng:  eng,
-		seed: *seed,
-		rep:  &runReport{Jobs: eng.Jobs(), CacheDir: *cacheDir, Headline: map[string]float64{}},
+		p:   printer{w: stdout, csvDir: *csvDir},
+		opt: opt,
+		eng: eng,
+		rep: &runReport{Jobs: eng.Jobs(), CacheDir: *cacheDir, Headline: map[string]float64{}},
 	}
 
-	name := flag.Arg(0)
+	name := fs.Arg(0)
 	start := time.Now()
 	runErr := s.run(name)
 	s.finish(time.Since(start))
 	if *reportPath != "" {
 		if err := s.writeReport(*reportPath); err != nil {
-			fmt.Fprintln(os.Stderr, "lukewarm: report:", err)
-			exit(1)
+			fmt.Fprintln(stderr, "lukewarm: report:", err)
+			return 1
 		}
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "lukewarm:", runErr)
-		exit(1)
+		fmt.Fprintln(stderr, "lukewarm:", runErr)
+		return 1
 	}
 	stopProfiles()
-	fmt.Printf("(%s completed in %s)\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "(%s completed in %s)\n", name, time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 // startProfiles begins CPU profiling and arranges the exit-time heap
 // profile. The returned stop function is idempotent and must run on every
 // exit path once profiling has started; either path may be empty.
-func startProfiles(cpuPath, memPath string) (func(), error) {
+func startProfiles(cpuPath, memPath string, stderr io.Writer) (func(), error) {
 	stopCPU := func() {}
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
@@ -141,62 +152,50 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 		}
 		f, err := os.Create(memPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lukewarm: memprofile:", err)
+			fmt.Fprintln(stderr, "lukewarm: memprofile:", err)
 			return
 		}
 		defer f.Close()
 		runtime.GC() // materialize final live-heap state
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "lukewarm: memprofile:", err)
+			fmt.Fprintln(stderr, "lukewarm: memprofile:", err)
 		}
 	}, nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `lukewarm - regenerate the figures and tables of
+// usage prints the synopsis, the experiment list generated from the
+// registry, and the flags.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprint(w, `lukewarm - regenerate the figures and tables of
 "Lukewarm Serverless Functions: Characterization and Optimization" (ISCA'22)
 
 usage: lukewarm [flags] <experiment>
 
 experiments:
-  table1, table2        configuration tables
-  fig1                  CPI vs inter-arrival time
-  fig2, fig3, fig4      Top-Down characterization
-  fig5a, fig5b          L2 / LLC MPKI breakdowns
-  fig6a, fig6b          instruction footprints and commonality
-  fig8                  metadata size vs region size
-  fig9                  speedup vs metadata budget
-  fig10, fig11, fig12   Jukebox performance, coverage, bandwidth
-  fig13                 comparison with PIF
-  table3                Skylake vs Broadwell MPKI reductions
-  crrb                  CRRB-size sensitivity (Sec. 5.1)
-  compaction            virtual-vs-physical metadata ablation (Sec. 3.3)
-  snapshot              snapshot/cold-boot replay extension (Sec. 3.4.2)
-  dynmeta               per-function metadata sizing extension
-  baselines             Jukebox vs next-line and RECAP-style restoration (Sec. 6)
-  server                system-level Poisson-traffic simulation
-  scaling               multi-core scaling under saturating traffic
-  sched                 placement and keep-alive policy sweep
-  chaos                 fault-injection sweep with graceful-degradation checks
-  cluster               fault-tolerant fleet sweep: nodes x failure rate x placement
-  coldstart             REAP page-prefetch vs Jukebox vs PIF across start conditions
-  prewarm               predictive pre-warm sweep: forecaster x lead x arrival shape
-  check                 differential-oracle + metamorphic-property validation battery
-  all                   everything above, in paper order
-
-flags:
 `)
-	flag.PrintDefaults()
+	line := func(name, desc string) { fmt.Fprintf(w, "  %-12s  %s\n", name, desc) }
+	for _, e := range lukewarm.Experiments() {
+		line(e.Name, e.Desc)
+		if len(e.Tables) > 0 {
+			line("", "one table alone: "+strings.Join(e.Tables, ", "))
+		}
+	}
+	line("all", "every experiment above, in order")
+	line("check", "differential-oracle + metamorphic-property validation battery")
+	fmt.Fprint(w, "\nflags:\n")
+	fs.PrintDefaults()
 }
 
-// printer renders tables to stdout and, when csvDir is set, mirrors each
-// one into <csvDir>/<slug>.csv.
+// printer renders tables to w and, when csvDir is set, mirrors each one
+// into <csvDir>/<slug>.csv.
 type printer struct {
+	w      io.Writer
 	csvDir string
 }
 
 func (p printer) show(t *lukewarm.Table) error {
-	fmt.Println(t)
+	fmt.Fprintln(p.w, t)
 	if p.csvDir == "" {
 		return nil
 	}
@@ -209,20 +208,6 @@ func (p printer) show(t *lukewarm.Table) error {
 	}
 	defer f.Close()
 	return t.WriteCSV(f)
-}
-
-// tabler is any experiment result with a single canonical table.
-type tabler interface {
-	Table() *lukewarm.Table
-}
-
-// render accepts a runner's (result, error) pair directly —
-// p.render(lukewarm.Fig8(opt, 16)) — and shows the result's table.
-func (p printer) render(r tabler, err error) error {
-	if err != nil {
-		return err
-	}
-	return p.show(r.Table())
 }
 
 // reportEntry is one experiment's telemetry in the run report.
@@ -253,31 +238,82 @@ type runReport struct {
 // experiment options (carrying the shared engine), and the accumulating run
 // report.
 type session struct {
-	p    printer
-	opt  lukewarm.ExperimentOptions
-	eng  *lukewarm.Engine
-	seed uint64
-	rep  *runReport
+	p   printer
+	opt lukewarm.ExperimentOptions
+	eng *lukewarm.Engine
+	rep *runReport
 }
 
-// step runs one experiment under its name: it labels the engine's progress
-// lines, times the run, and records the engine-counter deltas in the report.
-func (s *session) step(name string, fn func() error) error {
-	s.eng.SetPhase(name)
+// run dispatches one command-line argument: check, all, an experiment, or
+// one table of an experiment.
+func (s *session) run(name string) error {
+	switch name {
+	case "check":
+		rep := lukewarm.Check()
+		if err := s.p.show(rep.Table()); err != nil {
+			return err
+		}
+		return rep.Err()
+	case "all":
+		for _, e := range lukewarm.Experiments() {
+			if err := s.step(e.Name, e, -1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	e, table, ok := lookup(name)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (run with no arguments for the list)", name)
+	}
+	return s.step(name, e, table)
+}
+
+// lookup resolves a command-line argument to the experiment it selects and
+// the table it picks (-1: all of them).
+func lookup(name string) (lukewarm.Experiment, int, bool) {
+	for _, e := range lukewarm.Experiments() {
+		if table, ok := e.Selects(name); ok {
+			return e, table, true
+		}
+	}
+	return lukewarm.Experiment{}, -1, false
+}
+
+// step runs experiment e under label and renders its notes and tables (only
+// the table-th one when table >= 0); a run that fails with tables, such as
+// a chaos sweep with FAIL cells, still renders them. It labels the engine's
+// progress lines, times the run, and records the engine-counter deltas and
+// the headline metrics in the report.
+func (s *session) step(label string, e lukewarm.Experiment, table int) error {
+	s.eng.SetPhase(label)
 	before := s.eng.Stats()
 	start := time.Now()
-	err := fn()
+	out, err := e.Run(s.opt)
 	after := s.eng.Stats()
-	e := reportEntry{
-		Experiment: name,
+	entry := reportEntry{
+		Experiment: label,
 		WallMs:     float64(time.Since(start).Microseconds()) / 1000,
 		Cells:      after.Cells - before.Cells,
 		CacheHits:  after.CacheHits - before.CacheHits,
 	}
-	if e.Cells > 0 {
-		e.CacheHitRate = float64(e.CacheHits) / float64(e.Cells)
+	if entry.Cells > 0 {
+		entry.CacheHitRate = float64(entry.CacheHits) / float64(entry.Cells)
 	}
-	s.rep.Experiments = append(s.rep.Experiments, e)
+	s.rep.Experiments = append(s.rep.Experiments, entry)
+	maps.Copy(s.rep.Headline, out.Headline)
+	for _, n := range out.Notes {
+		fmt.Fprintln(s.p.w, n)
+	}
+	tables := out.Tables
+	if table >= 0 && table < len(tables) {
+		tables = tables[table : table+1]
+	}
+	for _, t := range tables {
+		if err := s.p.show(t); err != nil {
+			return err
+		}
+	}
 	return err
 }
 
@@ -300,296 +336,4 @@ func (s *session) writeReport(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// characterize runs the Fig. 2-5 experiment and records its headline metric.
-func (s *session) characterize() (lukewarm.CharacterizationResult, error) {
-	char, err := lukewarm.Characterize(s.opt)
-	if err == nil {
-		s.rep.Headline["fig2_mean_cpi_uplift_pct"] = char.MeanUplift() * 100
-	}
-	return char, err
-}
-
-// performance runs the Fig. 10-12 experiment and records its headline metric.
-func (s *session) performance() (lukewarm.PerfResult, error) {
-	perf, err := lukewarm.Performance(s.opt)
-	if err == nil {
-		jb, _ := perf.GeomeanSpeedups()
-		s.rep.Headline["fig10_geomean_speedup_pct"] = jb
-	}
-	return perf, err
-}
-
-// runSched executes the scheduling-policy sweep, renders its three tables,
-// and records the headline: the best placement policy's geomean-CPI
-// improvement over the earliest-available baseline.
-func (s *session) runSched() error {
-	r, err := lukewarm.Sched(s.opt)
-	if err != nil {
-		return err
-	}
-	_, delta := r.BestPolicyCPIDeltaPct()
-	s.rep.Headline["sched_best_policy_cpi_delta_pct"] = delta
-	for _, t := range []*lukewarm.Table{r.Table(), r.KeepAliveTable(), r.PerFuncTable()} {
-		if err := s.p.show(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runChaos executes the fault-injection sweep; any FAIL cell makes the
-// command exit non-zero after the full matrix has been rendered.
-func (s *session) runChaos() error {
-	r, err := lukewarm.Chaos(s.opt, s.seed)
-	if err != nil {
-		return err
-	}
-	if err := s.p.show(r.Table()); err != nil {
-		return err
-	}
-	if n := r.Failures(); n > 0 {
-		return fmt.Errorf("chaos: %d of %d cells failed", n, len(r.Cells))
-	}
-	return nil
-}
-
-// runCluster executes the fleet simulation sweep, renders both tables, and
-// records the headlines: availability of the largest fleet under heavy
-// faults, and the hedging compute bill at the same point.
-func (s *session) runCluster() error {
-	r, err := lukewarm.Cluster(s.opt)
-	if err != nil {
-		return err
-	}
-	s.rep.Headline["cluster_heavy_availability_pct"] = r.HeavyAvailabilityPct()
-	s.rep.Headline["cluster_wasted_hedge_pct"] = r.WastedHedgePct()
-	for _, t := range []*lukewarm.Table{r.Table(), r.LatencyTable()} {
-		if err := s.p.show(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runColdstart executes the cold-start comparator, renders its three tables,
-// and records the headlines: the combined REAP+Jukebox cold-band speedup and
-// the IAT at which Jukebox alone overtakes REAP alone.
-func (s *session) runColdstart() error {
-	r, err := lukewarm.Coldstart(s.opt)
-	if err != nil {
-		return err
-	}
-	s.rep.Headline["coldstart_reapjb_cold_speedup_pct"] = r.ColdSpeedupPct()
-	s.rep.Headline["coldstart_crossover_iat_ms"] = r.CrossoverIATms
-	for _, t := range []*lukewarm.Table{r.Table(), r.CrossoverTable(), r.StalenessTable()} {
-		if err := s.p.show(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPrewarm executes the predictive pre-warm sweep, renders its table, and
-// records the headlines: the oracle forecaster's best lukewarm-penalty
-// recovery (where and how much), and the histogram forecaster's wasted
-// pre-warm fraction on the adversarial bursty shape.
-func (s *session) runPrewarm() error {
-	r, err := lukewarm.Prewarm(s.opt)
-	if err != nil {
-		return err
-	}
-	shape, lead, pct := r.OracleBestPenaltyRemovedPct()
-	s.rep.Headline["prewarm_oracle_best_penalty_removed_pct"] = pct
-	s.rep.Headline["prewarm_oracle_best_lead_ms"] = lead
-	s.rep.Headline["prewarm_bursty_histpeak_wasted_frac"] = r.BurstyHistpeakWastedFraction()
-	fmt.Printf("oracle best: %s at lead %g ms removes %.0f%% of the lukewarm CPI penalty\n",
-		shape, lead, pct)
-	return s.p.show(r.Table())
-}
-
-// runCheck executes the differential-oracle and metamorphic-property
-// validation battery; any FAIL row makes the command exit non-zero after the
-// full report has been rendered.
-func (s *session) runCheck() error {
-	rep := lukewarm.Check()
-	if err := s.p.show(rep.Table()); err != nil {
-		return err
-	}
-	return rep.Err()
-}
-
-// run dispatches one experiment by name.
-func (s *session) run(name string) error {
-	p, opt := s.p, s.opt
-	switch name {
-	case "table1":
-		return p.show(lukewarm.Table1())
-	case "table2":
-		return p.show(lukewarm.Table2())
-	case "fig1":
-		return s.step(name, func() error { return p.render(lukewarm.Fig1(opt)) })
-	case "fig2", "fig3", "fig4", "fig5a", "fig5b":
-		return s.step(name, func() error {
-			char, err := s.characterize()
-			if err != nil {
-				return err
-			}
-			switch name {
-			case "fig2":
-				return p.show(char.Fig2Table())
-			case "fig3":
-				return p.show(char.Fig3Table())
-			case "fig4":
-				return p.show(char.Fig4Table())
-			case "fig5a":
-				return p.show(char.Fig5aTable())
-			default:
-				return p.show(char.Fig5bTable())
-			}
-		})
-	case "fig6a", "fig6b":
-		return s.step(name, func() error {
-			fp, err := lukewarm.Footprints(opt, 25)
-			if err != nil {
-				return err
-			}
-			if name == "fig6a" {
-				return p.show(fp.Fig6aTable())
-			}
-			return p.show(fp.Fig6bTable())
-		})
-	case "fig8":
-		return s.step(name, func() error { return p.render(lukewarm.Fig8(opt, 16)) })
-	case "fig9":
-		return s.step(name, func() error { return p.render(lukewarm.Fig9(opt)) })
-	case "fig10", "fig11", "fig12":
-		return s.step(name, func() error {
-			perf, err := s.performance()
-			if err != nil {
-				return err
-			}
-			switch name {
-			case "fig10":
-				return p.show(perf.Fig10Table())
-			case "fig11":
-				return p.show(perf.Fig11Table())
-			default:
-				return p.show(perf.Fig12Table())
-			}
-		})
-	case "fig13":
-		return s.step(name, func() error { return p.render(lukewarm.Fig13(opt)) })
-	case "table3":
-		return s.step(name, func() error { return p.render(lukewarm.Table3(opt)) })
-	case "crrb":
-		return s.step(name, func() error { return p.render(lukewarm.CRRBAblation(opt)) })
-	case "compaction":
-		return s.step(name, func() error { return p.render(lukewarm.Compaction(opt)) })
-	case "snapshot":
-		return s.step(name, func() error { return p.render(lukewarm.Snapshot(opt)) })
-	case "dynmeta":
-		return s.step(name, func() error { return p.render(lukewarm.DynamicMetadata(opt)) })
-	case "baselines":
-		return s.step(name, func() error { return p.render(lukewarm.Baselines(opt)) })
-	case "server":
-		return s.step(name, func() error { return p.render(lukewarm.ServerSim(opt)) })
-	case "scaling":
-		return s.step(name, func() error { return p.render(lukewarm.Scaling(opt)) })
-	case "sched":
-		return s.step(name, s.runSched)
-	case "chaos":
-		return s.step(name, s.runChaos)
-	case "cluster":
-		return s.step(name, s.runCluster)
-	case "coldstart":
-		return s.step(name, s.runColdstart)
-	case "prewarm":
-		return s.step(name, s.runPrewarm)
-	case "check":
-		return s.runCheck()
-	case "all":
-		return s.runAll()
-	default:
-		return fmt.Errorf("unknown experiment %q (run with no arguments for the list)", name)
-	}
-}
-
-// runAll regenerates everything, sharing runs between figures that come
-// from the same experiment (and, through the engine's result cache,
-// identical cells between experiments).
-func (s *session) runAll() error {
-	p, opt := s.p, s.opt
-	if err := p.show(lukewarm.Table1()); err != nil {
-		return err
-	}
-	if err := p.show(lukewarm.Table2()); err != nil {
-		return err
-	}
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"fig1", func() error { return p.render(lukewarm.Fig1(opt)) }},
-		{"fig2-5", func() error {
-			char, err := s.characterize()
-			if err != nil {
-				return err
-			}
-			for _, t := range []*lukewarm.Table{
-				char.Fig2Table(), char.Fig3Table(), char.Fig4Table(),
-				char.Fig5aTable(), char.Fig5bTable(),
-			} {
-				if err := p.show(t); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"fig6", func() error {
-			fp, err := lukewarm.Footprints(opt, 25)
-			if err != nil {
-				return err
-			}
-			if err := p.show(fp.Fig6aTable()); err != nil {
-				return err
-			}
-			return p.show(fp.Fig6bTable())
-		}},
-		{"fig8", func() error { return p.render(lukewarm.Fig8(opt, 16)) }},
-		{"fig9", func() error { return p.render(lukewarm.Fig9(opt)) }},
-		{"fig10-12", func() error {
-			perf, err := s.performance()
-			if err != nil {
-				return err
-			}
-			for _, t := range []*lukewarm.Table{perf.Fig10Table(), perf.Fig11Table(), perf.Fig12Table()} {
-				if err := p.show(t); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"fig13", func() error { return p.render(lukewarm.Fig13(opt)) }},
-		{"table3", func() error { return p.render(lukewarm.Table3(opt)) }},
-		{"crrb", func() error { return p.render(lukewarm.CRRBAblation(opt)) }},
-		{"compaction", func() error { return p.render(lukewarm.Compaction(opt)) }},
-		{"snapshot", func() error { return p.render(lukewarm.Snapshot(opt)) }},
-		{"dynmeta", func() error { return p.render(lukewarm.DynamicMetadata(opt)) }},
-		{"baselines", func() error { return p.render(lukewarm.Baselines(opt)) }},
-		{"server", func() error { return p.render(lukewarm.ServerSim(opt)) }},
-		{"scaling", func() error { return p.render(lukewarm.Scaling(opt)) }},
-		{"sched", s.runSched},
-		{"chaos", s.runChaos},
-		{"cluster", s.runCluster},
-		{"coldstart", s.runColdstart},
-		{"prewarm", s.runPrewarm},
-	}
-	for _, st := range steps {
-		if err := s.step(st.name, st.fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -52,16 +52,17 @@ func ExampleSuite() {
 	// Python: 5 NodeJS: 5 Go: 10
 }
 
-// ExampleFig8 measures Jukebox's metadata requirement for one function and
-// confirms the paper's 1 KB region-size optimum.
-func ExampleFig8() {
+// ExampleRunExperiment regenerates Figure 8 — Jukebox's metadata
+// requirement vs code-region size — for one function and confirms the
+// paper's 1 KB region-size optimum.
+func ExampleRunExperiment() {
 	opt := lukewarm.ExperimentOptions{Functions: []string{"Email-P"}, Measure: 1}
-	r, err := lukewarm.Fig8(opt, 16)
+	out, err := lukewarm.RunExperiment("fig8", opt)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("best region size:", r.BestRegionSize(), "bytes")
+	fmt.Println("best region size:", out.Headline["fig8_best_region_bytes"], "bytes")
 	// Output:
 	// best region size: 1024 bytes
 }

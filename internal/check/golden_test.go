@@ -1,13 +1,12 @@
 package check
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"path/filepath"
 	"testing"
 
-	"lukewarm/internal/core"
-	"lukewarm/internal/cpu"
 	"lukewarm/internal/experiments"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/stats"
@@ -21,142 +20,45 @@ import (
 var update = flag.Bool("update", false, "rewrite golden snapshots in testdata/golden")
 
 // goldenOpts is the canonical small configuration every experiment is
-// snapshotted under: two functions, one warm-up, two measured invocations —
-// big enough that every code path runs, small enough to stay test-speed.
+// snapshotted under: two functions, one warm-up, two measured invocations,
+// five traced invocations per footprint and chaos seed 42 — big enough that
+// every code path runs, small enough to stay test-speed.
 func goldenOpts(eng *runner.Engine) experiments.Options {
 	return experiments.Options{
-		Warmup:    1,
-		Measure:   2,
-		Functions: []string{"Auth-G", "Email-P"},
-		Engine:    eng,
+		Warmup:               1,
+		Measure:              2,
+		Functions:            []string{"Auth-G", "Email-P"},
+		Engine:               eng,
+		Seed:                 42,
+		FootprintInvocations: 5,
 	}
 }
 
-// goldenCase is one experiment of the regression harness.
-type goldenCase struct {
-	name string
-	// tolPct is the per-cell tolerance band. The simulator is deterministic,
-	// so snapshots reproduce exactly today; the band states how much model
-	// drift a future change may introduce without refreshing the snapshot.
-	tolPct float64
-	tables func(opt experiments.Options) ([]*stats.Table, error)
-}
-
-func one(t *stats.Table, err error) ([]*stats.Table, error) { return []*stats.Table{t}, err }
-
-// goldenCases enumerates every experiment's canonical tables.
-func goldenCases() []goldenCase {
-	return []goldenCase{
-		{"fig1", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig1(o)
-			return one(r.Table(), err)
-		}},
-		{"characterization", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Characterize(o)
-			return []*stats.Table{r.Fig2Table(), r.Fig3Table(), r.Fig4Table(),
-				r.Fig5aTable(), r.Fig5bTable()}, err
-		}},
-		{"footprints", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Footprints(o, 5)
-			return []*stats.Table{r.Fig6aTable(), r.Fig6bTable()}, err
-		}},
-		{"fig8", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig8(o, 16)
-			return one(r.Table(), err)
-		}},
-		{"fig9", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig9(o)
-			return one(r.Table(), err)
-		}},
-		{"performance", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Performance(o, cpu.SkylakeConfig(), core.DefaultConfig())
-			return []*stats.Table{r.Fig10Table(), r.Fig11Table(), r.Fig12Table()}, err
-		}},
-		{"fig13", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig13(o)
-			return one(r.Table(), err)
-		}},
-		{"table3", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Table3(o)
-			return one(r.Table(), err)
-		}},
-		{"crrb-ablation", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.CRRBAblation(o)
-			return one(r.Table(), err)
-		}},
-		{"compaction", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Compaction(o)
-			return one(r.Table(), err)
-		}},
-		{"snapshot", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Snapshot(o)
-			return one(r.Table(), err)
-		}},
-		{"dynamic-metadata", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.DynamicMetadata(o)
-			return one(r.Table(), err)
-		}},
-		{"baselines", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Baselines(o)
-			return one(r.Table(), err)
-		}},
-		// Traffic-level experiments aggregate queueing and placement effects;
-		// give them a slightly wider band than the per-instance figures.
-		{"server-sim", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.ServerSim(o)
-			return one(r.Table(), err)
-		}},
-		{"scaling", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Scaling(o)
-			return one(r.Table(), err)
-		}},
-		{"sched", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Sched(o)
-			return []*stats.Table{r.Table(), r.KeepAliveTable(), r.PerFuncTable()}, err
-		}},
-		{"chaos", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Chaos(o, 42)
-			return one(r.Table(), err)
-		}},
-		{"cluster", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Cluster(o)
-			return []*stats.Table{r.Table(), r.LatencyTable()}, err
-		}},
-		{"coldstart", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Coldstart(o)
-			return []*stats.Table{r.Table(), r.CrossoverTable(), r.StalenessTable()}, err
-		}},
-		{"prewarm", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Prewarm(o)
-			return one(r.Table(), err)
-		}},
-	}
-}
-
-// TestGoldenExperiments regenerates every experiment's canonical tables and
-// holds them to the checked-in snapshots (or refreshes the snapshots with
-// -update). One engine spans all experiments, as in the CLI, so shared cells
-// are simulated once.
+// TestGoldenExperiments iterates the experiment registry, regenerates every
+// experiment's tables and holds them to the checked-in snapshots under the
+// entry's tolerance (or refreshes the snapshots with -update). One engine
+// spans all experiments, as in the CLI, so shared cells are simulated once.
 func TestGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regression runs every experiment; skipped in -short mode")
 	}
 	eng := runner.Default()
 	seen := map[string]string{}
-	for _, gc := range goldenCases() {
-		t.Run(gc.name, func(t *testing.T) {
-			tables, err := gc.tables(goldenOpts(eng))
+	for _, e := range experiments.Registry() {
+		name := cmp.Or(e.Golden, e.Name)
+		t.Run(name, func(t *testing.T) {
+			out, err := e.Run(goldenOpts(eng))
 			if err != nil {
-				t.Fatalf("running %s: %v", gc.name, err)
+				t.Fatalf("running %s: %v", name, err)
 			}
-			for _, tb := range tables {
+			for _, tb := range out.Tables {
 				path := filepath.Join("testdata", "golden", tb.Slug()+".json")
 				if prev, dup := seen[path]; dup {
-					t.Fatalf("table slug collision: %s and %s both map to %s", prev, gc.name, path)
+					t.Fatalf("table slug collision: %s and %s both map to %s", prev, name, path)
 				}
-				seen[path] = gc.name
+				seen[path] = name
 				if *update {
-					g, err := Snapshot(tb, gc.tolPct)
+					g, err := Snapshot(tb, e.TolPct)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -48,11 +48,12 @@ type ChaosResult struct {
 }
 
 // Chaos sweeps every fault kind across the representative functions (or
-// opt.Functions when set), one deterministic seeded plan per cell. A cell
+// opt.Functions when set), one plan per cell seeded from opt.Seed. A cell
 // that panics is caught and reported as FAIL — the sweep itself always
 // completes.
-func Chaos(opt Options, seed uint64) (ChaosResult, error) {
+func Chaos(opt Options) (ChaosResult, error) {
 	opt = opt.withDefaults()
+	seed := opt.Seed
 	out := ChaosResult{Seed: seed}
 	fns := opt.Functions
 	if len(fns) == 0 {

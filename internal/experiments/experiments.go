@@ -2,8 +2,9 @@
 // paper's evaluation (see DESIGN.md's per-experiment index). Each runner
 // describes its measurements as independent simulation cells and submits
 // them to the execution engine (internal/runner), which fans them out across
-// a worker pool and memoizes results by content; the cmd/lukewarm binary and
-// the repository's benchmarks drive them.
+// a worker pool and memoizes results by content. The registry (Registry)
+// lists every experiment once; the cmd/lukewarm binary, the golden harness,
+// the facade and the repository's benchmarks all iterate it.
 package experiments
 
 import (
@@ -43,6 +44,11 @@ type Options struct {
 	// the CLI shares one configured engine across all experiments so the
 	// cache and telemetry span the whole run.
 	Engine *runner.Engine
+	// Seed seeds the chaos sweep's fault plans. Zero is an ordinary seed.
+	Seed uint64
+	// FootprintInvocations is the number of invocations Figs. 6a/6b trace
+	// per function; zero or less selects the paper's 25.
+	FootprintInvocations int
 }
 
 func (o Options) withDefaults() Options {
@@ -57,6 +63,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Engine == nil {
 		o.Engine = runner.Default()
+	}
+	if o.FootprintInvocations <= 0 {
+		o.FootprintInvocations = 25
 	}
 	return o
 }

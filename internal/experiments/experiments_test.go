@@ -158,7 +158,7 @@ func TestCharacterizeMatchesPaperBands(t *testing.T) {
 }
 
 func TestFootprintsMatchFig6(t *testing.T) {
-	r, err := Footprints(Options{Functions: []string{"Fib-G", "Auth-P", "Email-P"}}, 6)
+	r, err := Footprints(Options{Functions: []string{"Fib-G", "Auth-P", "Email-P"}, FootprintInvocations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFootprintsMatchFig6(t *testing.T) {
 }
 
 func TestFig8MinimumAtOneKB(t *testing.T) {
-	r, err := Fig8(Options{Functions: []string{"Auth-G", "Email-P", "Pay-N"}, Measure: 1}, 16)
+	r, err := Fig8(Options{Functions: []string{"Auth-G", "Email-P", "Pay-N"}, Measure: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

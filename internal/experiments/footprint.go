@@ -24,15 +24,12 @@ type FootprintResult struct {
 	Invocations int
 }
 
-// Footprints traces invocations invocations per function — the paper uses
-// 25, which invocations <= 0 selects — collecting per-invocation unique
-// instruction blocks and all pairwise Jaccard indices (Sec. 2.5).
-func Footprints(opt Options, invocations int) (FootprintResult, error) {
+// Footprints traces opt.FootprintInvocations invocations per function
+// (default: the paper's 25), collecting per-invocation unique instruction
+// blocks and all pairwise Jaccard indices (Sec. 2.5).
+func Footprints(opt Options) (FootprintResult, error) {
 	opt = opt.withDefaults()
-	n := invocations
-	if n <= 0 {
-		n = 25
-	}
+	n := opt.FootprintInvocations
 	out := FootprintResult{Invocations: n}
 	suite, err := opt.suite()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"lukewarm/internal/cfgerr"
+	"lukewarm/internal/eventq"
 	"lukewarm/internal/mem"
 	"lukewarm/internal/predict"
 	"lukewarm/internal/program"
@@ -415,72 +416,6 @@ func (s TrafficSummary) ResidentMsPerServed() float64 {
 	}
 	return s.ResidentMs / float64(s.Served)
 }
-
-// arrival is one pending invocation.
-type arrival struct {
-	at   mem.Cycle
-	inst *Instance
-	seq  int // tie-breaker for determinism
-}
-
-// arrivalQueue is a typed min-heap of arrivals ordered by (time, seq). The
-// ordering is total, so the pop sequence — the only observable — is
-// independent of heap internals; the typed implementation exists so pushes
-// do not box each arrival into an interface (the dispatch loop's last
-// steady-state allocation).
-type arrivalQueue []arrival
-
-func (q arrivalQueue) Len() int { return len(q) }
-func (q arrivalQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-// push adds a onto the heap.
-//lukewarm:hotpath noalloc one push per generated invocation; boxing here was the dispatch loop's last steady-state allocation
-func (q *arrivalQueue) push(a arrival) {
-	*q = append(*q, a) //lukewarm:hotalloc the backing array grows to the in-flight high-water mark once, then is reused
-	h := *q
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum arrival.
-//lukewarm:hotpath noalloc,noescape one pop per dispatched invocation; pure in-place swaps
-func (q *arrivalQueue) pop() arrival {
-	h := *q
-	n := len(h) - 1
-	v := h[0]
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && h.less(r, l) {
-			child = r
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return v
-}
-
-func (q arrivalQueue) Peek() arrival { return q[0] }
 
 // instSched is the per-instance bookkeeping the scheduling policies read.
 type instSched struct {
@@ -982,34 +917,23 @@ func (s *Server) ServeTraffic(cfg TrafficConfig) (TrafficResult, error) {
 		return c
 	}
 
-	var q arrivalQueue
-	seq := 0
+	var q eventq.Queue[*Instance] // pending arrivals
 	remaining := map[*Instance]int{}
 	for _, inst := range s.instances {
 		remaining[inst] = cfg.InvocationsPerInstance
 		// Phase-shift first arrivals across instances.
 		first := s.Core.Now() + mem.Cycle(rng.Float64()*cfg.MeanIATms*cyclesPerMs)
-		q.push(arrival{at: first, inst: inst, seq: seq})
-		seq++
+		q.Push(first, inst)
 	}
 
-	due := func(coreNow mem.Cycle) int {
-		due := 0
-		for _, p := range q {
-			if p.at <= coreNow {
-				due++
-			}
-		}
-		return due
-	}
+	due := q.Due
 	for q.Len() > 0 {
-		a := q.pop()
-		sim.Dispatch(a.inst, a.at, false, due)
-		remaining[a.inst]--
-		if remaining[a.inst] > 0 {
-			arrivalMs := float64(a.at) / cyclesPerMs
-			q.push(arrival{at: a.at + nextGap(arrivalMs), inst: a.inst, seq: seq})
-			seq++
+		at, inst := q.Pop()
+		sim.Dispatch(inst, at, false, due)
+		remaining[inst]--
+		if remaining[inst] > 0 {
+			arrivalMs := float64(at) / cyclesPerMs
+			q.Push(at+nextGap(arrivalMs), inst)
 		}
 	}
 	return sim.Finish(), nil

@@ -18,8 +18,9 @@
 //     deploys warm function instances with or without Jukebox.
 //   - Suite and FunctionByName provide the paper's 20-workload evaluation
 //     suite (Table 2), realized as calibrated synthetic programs.
-//   - The Fig*/Table* functions regenerate every figure and table of the
-//     paper's evaluation; see DESIGN.md for the per-experiment index and
+//   - Experiments and RunExperiment regenerate every figure and table of
+//     the paper's evaluation, plus the ablations and extensions, from one
+//     registry; see DESIGN.md for the per-experiment index and
 //     EXPERIMENTS.md for paper-vs-measured results.
 //
 // # Quick start
@@ -100,13 +101,15 @@ type (
 	Program = program.Program
 	// TopDownStack is a Top-Down cycle decomposition.
 	TopDownStack = topdown.Stack
-	// ExperimentOptions scales experiment runs (warmup/measured invocations
-	// and the function subset).
+	// ExperimentOptions scales experiment runs (warmup/measured invocations,
+	// the function subset, the chaos seed).
 	ExperimentOptions = experiments.Options
-	// CharacterizationResult backs Figures 2-5 (see Characterize).
-	CharacterizationResult = experiments.CharacterizationResult
-	// PerfResult backs Figures 10-12 (see Performance).
-	PerfResult = experiments.PerfResult
+	// Experiment is one entry of the experiment registry: its name, its
+	// selectable tables and its runner (see Experiments).
+	Experiment = experiments.Entry
+	// ExperimentOutput is one experiment run's notes, tables and headline
+	// metrics.
+	ExperimentOutput = experiments.Output
 	// Table is an aligned text table, the output format of experiments.
 	Table = stats.Table
 	// TopDownCategory is one Top-Down cycle class.
@@ -129,8 +132,6 @@ type (
 	// HybridKeepAliveConfig parameterizes the hybrid-histogram keep-alive
 	// policy (Shahrad et al., ATC'20).
 	HybridKeepAliveConfig = sched.HybridConfig
-	// SchedResult backs the scheduling-policy experiment (see Sched).
-	SchedResult = experiments.SchedResult
 	// FleetConfig configures a fault-tolerant multi-node fleet simulation
 	// (see RunFleet).
 	FleetConfig = cluster.Config
@@ -140,12 +141,6 @@ type (
 	FleetSummary = cluster.Summary
 	// FleetCounters is the request-conservation ledger AuditFleet checks.
 	FleetCounters = faults.FleetCounters
-	// ClusterResult backs the fleet sweep experiment (see Cluster).
-	ClusterResult = experiments.ClusterResult
-	// ColdstartResult backs the cold-start comparator sweep (see Coldstart).
-	ColdstartResult = experiments.ColdstartResult
-	// ColdstartMech names one warm-up mechanism of the cold-start sweep.
-	ColdstartMech = experiments.ColdstartMech
 	// PredictConfig arms predictive pre-warming on a traffic simulation
 	// (TrafficConfig.Predict): forecaster, lead time, freshness window,
 	// per-function mechanism choice and optional fleet budget.
@@ -158,10 +153,6 @@ type (
 	PrewarmLedger = predict.Ledger
 	// PrewarmBudget rate-limits pre-warms fleet-wide; see NewPrewarmBudget.
 	PrewarmBudget = predict.Budget
-	// PrewarmResult backs the predictive pre-warm sweep (see Prewarm).
-	PrewarmResult = experiments.PrewarmResult
-	// PrewarmRow is one (shape, forecaster, lead) cell of the sweep.
-	PrewarmRow = experiments.PrewarmRow
 	// FaultKind enumerates the injectable fault classes.
 	FaultKind = faults.Kind
 	// FaultPlan is one seeded fault-injection campaign.
@@ -254,104 +245,21 @@ func IdealPIFConfig() PIFConfig { return pif.IdealConfig() }
 // srv.AttachCorePrefetcher.
 func NewPIF(cfg PIFConfig, srv *Server) *PIF { return pif.New(cfg, srv.Core.Hier) }
 
-// Experiment runners: each regenerates one figure or table of the paper.
-// They accept ExperimentOptions to scale warmup/measurement and restrict the
-// function set (the zero value runs the full suite at a quick default).
+// Experiments lists every experiment — the paper's figures and tables, then
+// the ablations and extensions — in presentation order. Each entry's Run
+// regenerates it under the given ExperimentOptions (the zero value runs the
+// full suite at a quick default).
+func Experiments() []Experiment { return experiments.Registry() }
 
-// Fig1 regenerates Figure 1: CPI vs invocation inter-arrival time.
-func Fig1(opt ExperimentOptions) (experiments.Fig1Result, error) { return experiments.Fig1(opt) }
-
-// Characterize regenerates the data behind Figures 2-5: Top-Down stacks and
-// MPKI breakdowns for reference vs interleaved execution.
-func Characterize(opt ExperimentOptions) (experiments.CharacterizationResult, error) {
-	return experiments.Characterize(opt)
-}
-
-// Footprints regenerates Figures 6a/6b: instruction footprints and their
-// cross-invocation Jaccard commonality. invocations <= 0 selects the
-// paper's 25 traced invocations per function.
-func Footprints(opt ExperimentOptions, invocations int) (experiments.FootprintResult, error) {
-	return experiments.Footprints(opt, invocations)
-}
-
-// Fig8 regenerates Figure 8: metadata size vs code-region size.
-func Fig8(opt ExperimentOptions, crrbEntries int) (experiments.Fig8Result, error) {
-	return experiments.Fig8(opt, crrbEntries)
-}
-
-// Fig9 regenerates Figure 9: speedup vs metadata budget.
-func Fig9(opt ExperimentOptions) (experiments.Fig9Result, error) { return experiments.Fig9(opt) }
-
-// Performance regenerates Figures 10-12: baseline vs Jukebox vs perfect
-// I-cache, plus coverage and bandwidth overheads.
-func Performance(opt ExperimentOptions) (experiments.PerfResult, error) {
-	return experiments.Performance(opt, cpu.SkylakeConfig(), core.DefaultConfig())
-}
-
-// PerformanceOn runs the Figures 10-12 experiment on a specific platform and
-// Jukebox configuration.
-func PerformanceOn(opt ExperimentOptions, platform CPUConfig, jb JukeboxConfig) (experiments.PerfResult, error) {
-	return experiments.Performance(opt, platform, jb)
-}
-
-// Fig13 regenerates Figure 13: Jukebox vs PIF and PIF-ideal.
-func Fig13(opt ExperimentOptions) (experiments.Fig13Result, error) { return experiments.Fig13(opt) }
-
-// Table1 renders the simulated processor parameters.
-func Table1() *Table { return experiments.Table1() }
-
-// Table2 renders the workload suite.
-func Table2() *Table { return experiments.Table2() }
-
-// Table3 regenerates Table 3: MPKI reductions on Skylake vs Broadwell.
-func Table3(opt ExperimentOptions) (experiments.Table3Result, error) { return experiments.Table3(opt) }
-
-// CRRBAblation runs the Sec. 5.1 CRRB-size sensitivity study.
-func CRRBAblation(opt ExperimentOptions) (experiments.CRRBAblationResult, error) {
-	return experiments.CRRBAblation(opt)
-}
-
-// Compaction runs the virtual-vs-physical metadata ablation (Sec. 3.3).
-func Compaction(opt ExperimentOptions) (experiments.CompactionResult, error) {
-	return experiments.Compaction(opt)
-}
-
-// Snapshot runs the snapshot/cold-boot replay extension (Sec. 3.4.2).
-func Snapshot(opt ExperimentOptions) (experiments.SnapshotResult, error) {
-	return experiments.Snapshot(opt)
-}
-
-// DynamicMetadata runs the per-function metadata sizing extension (Sec. 5.1).
-func DynamicMetadata(opt ExperimentOptions) (experiments.DynamicMetadataResult, error) {
-	return experiments.DynamicMetadata(opt)
-}
-
-// Baselines runs the Sec. 6 related-work comparison: Jukebox vs a next-line
-// instruction prefetcher and a RECAP-style LLC context-restoration scheme.
-func Baselines(opt ExperimentOptions) (experiments.BaselinesResult, error) {
-	return experiments.Baselines(opt)
-}
-
-// ServerSim runs the system-level validation: the suite co-resident under
-// Poisson invocation traffic, with natural interleaving, baseline vs
-// Jukebox.
-func ServerSim(opt ExperimentOptions) (experiments.ServerSimResult, error) {
-	return experiments.ServerSim(opt)
-}
-
-// Scaling runs the multi-core extension: the suite under saturating traffic
-// on 1, 2 and 4 cores sharing an LLC, baseline vs Jukebox.
-func Scaling(opt ExperimentOptions) (experiments.ScalingResult, error) {
-	return experiments.Scaling(opt)
-}
-
-// Sched runs the scheduling-policy experiment: placement policies
-// (earliest-available, round-robin, sticky-affinity, Jukebox-aware) and
-// keep-alive policies (fixed timeout, hybrid histogram, no eviction) swept
-// against Poisson, heavy-tail and diurnal traffic over the co-resident
-// suite.
-func Sched(opt ExperimentOptions) (experiments.SchedResult, error) {
-	return experiments.Sched(opt)
+// RunExperiment runs the experiment of the given registry name; an unknown
+// name returns an error wrapping ErrBadConfig.
+func RunExperiment(name string, opt ExperimentOptions) (ExperimentOutput, error) {
+	for _, e := range experiments.Registry() {
+		if e.Name == name {
+			return e.Run(opt)
+		}
+	}
+	return ExperimentOutput{}, cfgerr.New("lukewarm: unknown experiment %q", name)
 }
 
 // RunFleet simulates a fault-tolerant fleet: identical nodes behind a
@@ -359,13 +267,6 @@ func Sched(opt ExperimentOptions) (experiments.SchedResult, error) {
 // ladder, under a seeded fault plan injecting node crashes, instance
 // crashes and dispatch flakes. Deterministic for a fixed configuration.
 func RunFleet(cfg FleetConfig) (FleetResult, error) { return cluster.Run(cfg) }
-
-// Cluster runs the fleet sweep experiment: node count x failure rate x
-// fleet placement policy, reporting availability, warmth mix, tail latency
-// and resilience overheads per cell.
-func Cluster(opt ExperimentOptions) (experiments.ClusterResult, error) {
-	return experiments.Cluster(opt)
-}
 
 // AuditFleetResult checks a fleet run against the request-conservation
 // invariants (offered == served + shed + failed, retry and hedge ledgers
@@ -380,23 +281,6 @@ func AuditFleet(c FleetCounters) error { return faults.AuditFleet(c) }
 // used/wasted, no counter double-counts a page as both prefetched and
 // demand-faulted).
 func AuditReap(s ReapStats) error { return faults.AuditReap(s) }
-
-// Coldstart runs the cold-start comparator: REAP page-granular
-// record/prefetch vs Jukebox, PIF and the combined REAP+Jukebox stack across
-// start conditions (true cold starts and a lukewarm IAT band), plus the
-// manifest-staleness sweep.
-func Coldstart(opt ExperimentOptions) (experiments.ColdstartResult, error) {
-	return experiments.Coldstart(opt)
-}
-
-// Prewarm runs the predictive pre-warm sweep: forecaster x lead time x
-// arrival shape under synchronous restore semantics, with a bare
-// replay-at-dispatch baseline per shape and a fully warm reference closing
-// the penalty scale. Oracle rows bound what prediction can ever recover; the
-// bursty shape fills the wasted-replay ledger.
-func Prewarm(opt ExperimentOptions) (experiments.PrewarmResult, error) {
-	return experiments.Prewarm(opt)
-}
 
 // NewForecaster builds a fresh arrival forecaster by name — "histpeak"
 // (log-scale IAT histogram mode), "ewma" (exponentially weighted next gap)
@@ -449,13 +333,6 @@ func NoEvictKeepAlive() KeepAlive { return sched.NoEvict() }
 // a keep-alive head window plus a pre-warm point from it (Shahrad et al.,
 // ATC'20). The zero config selects defaults.
 func HybridKeepAlive(cfg HybridKeepAliveConfig) KeepAlive { return sched.HybridHistogram(cfg) }
-
-// Chaos sweeps the fault-injection matrix (see NewFaultPlan) across the
-// representative functions, classifying each (function, fault) cell as
-// PASS, DEGRADED or FAIL. Cells that panic are caught and reported as FAIL.
-func Chaos(opt ExperimentOptions, seed uint64) (experiments.ChaosResult, error) {
-	return experiments.Chaos(opt, seed)
-}
 
 // FaultKinds lists every injectable fault kind in matrix order.
 func FaultKinds() []FaultKind { return faults.Kinds() }

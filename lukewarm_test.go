@@ -102,30 +102,36 @@ func TestFacadeTopDownAccessors(t *testing.T) {
 }
 
 func TestFacadeExperimentWrappers(t *testing.T) {
-	opt := ExperimentOptions{Functions: []string{"Auth-G"}, Warmup: 1, Measure: 1, Audit: true}
-	if Table1().NumRows() == 0 || Table2().NumRows() != 20 {
-		t.Error("static tables broken")
+	names := map[string]bool{}
+	for _, e := range Experiments() {
+		if e.Name == "" || e.Desc == "" || e.Run == nil || e.TolPct <= 0 {
+			t.Errorf("incomplete registry entry %+v", e)
+		}
+		for _, n := range append([]string{e.Name}, e.Tables...) {
+			if names[n] {
+				t.Errorf("name %q selects two experiments", n)
+			}
+			names[n] = true
+		}
 	}
-	fp, err := Footprints(opt, 3)
+	opt := ExperimentOptions{Functions: []string{"Auth-G"}, Warmup: 1, Measure: 1, Audit: true, FootprintInvocations: 3}
+	t2, err := RunExperiment("table2", opt)
+	if err != nil || len(t2.Tables) != 1 || t2.Tables[0].NumRows() != 20 {
+		t.Errorf("table2: %d tables, err %v", len(t2.Tables), err)
+	}
+	fp, err := RunExperiment("fig6", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := fp.Fig6aTable().String(); !strings.Contains(out, "Auth-G") {
-		t.Error("Footprints wrapper broken")
+	if len(fp.Tables) != 2 || !strings.Contains(fp.Tables[0].String(), "(3 invocations)") ||
+		!strings.Contains(fp.Tables[1].String(), "Auth-G") {
+		t.Errorf("fig6 tables:\n%v", fp.Tables)
 	}
-	f8, err := Fig8(opt, 16)
-	if err != nil {
-		t.Fatal(err)
+	if fp.Headline["fig6_mean_footprint_kb"] <= 0 {
+		t.Errorf("fig6 headline = %v", fp.Headline)
 	}
-	if out := f8.Table().String(); !strings.Contains(out, "Auth-G") {
-		t.Error("Fig8 wrapper broken")
-	}
-	perf, err := PerformanceOn(opt, BroadwellConfig(), DefaultJukeboxConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf.Platform != "Broadwell-like" {
-		t.Errorf("PerformanceOn platform = %q", perf.Platform)
+	if _, err := RunExperiment("fig2", opt); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("table name as experiment: err = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -169,14 +175,17 @@ func TestFacadeFaultSurface(t *testing.T) {
 }
 
 func TestFacadeChaosQuick(t *testing.T) {
-	r, err := Chaos(ExperimentOptions{Functions: []string{"Auth-G"}}, 17)
+	out, err := RunExperiment("chaos", ExperimentOptions{Functions: []string{"Auth-G"}, Seed: 17})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\n%v", err, out.Tables)
 	}
-	if got := len(r.Cells); got != len(FaultKinds()) {
+	if len(out.Tables) != 1 {
+		t.Fatalf("chaos rendered %d tables", len(out.Tables))
+	}
+	if got := out.Tables[0].NumRows(); got != len(FaultKinds()) {
 		t.Fatalf("cells = %d, want %d", got, len(FaultKinds()))
 	}
-	if n := r.Failures(); n != 0 {
-		t.Errorf("%d chaos cells failed:\n%s", n, r.Table())
+	if !strings.Contains(out.Tables[0].Title, "seed 17") {
+		t.Errorf("title %q does not carry the seed", out.Tables[0].Title)
 	}
 }
