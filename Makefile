@@ -1,6 +1,7 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test lint bench benchdiff profile
 
@@ -12,7 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
+# lint fails on any file gofmt would rewrite (testdata holds deliberately
+# malformed fixtures), then runs go vet and lukewarmlint with its perf gate.
 lint:
+	@unformatted=$$($(GOFMT) -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -w needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/lukewarmlint ./...
 

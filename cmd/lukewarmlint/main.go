@@ -1,24 +1,26 @@
 // Command lukewarmlint is the multichecker for lukewarm's static-enforcement
 // suite (internal/analysis): the determinism/configuration analyzers plus the
 // perf-invariant suite (internal/analysis/perf) that holds annotated hot
-// paths to their declared compiler-verified invariants.
+// paths, and the callees of noalloc roots, to their declared
+// compiler-verified invariants.
 //
 // Usage:
 //
-//	lukewarmlint [-list] [-perf=false] [packages]
+//	lukewarmlint [-list] [packages]
 //
 // Packages default to ./... and accept any `go list` pattern; run it from
 // the module root (type information is resolved from source through the
 // module's own `go list`, and the perf gate's diagnostic rebuild runs from
-// the current directory). -perf=false skips the perf suite — both the pure
-// analyzers and the `go build -gcflags=-m` compiler gate — for quick
-// iteration on the base suite. Exit status: 0 clean, 1 findings, 2 usage or
-// load failure. CI runs `make lint` (`go vet` + this command) as a hard gate.
+// the current directory). Exit status: 0 clean, 1 findings, 2 usage or load
+// failure. CI runs `make lint` (gofmt, `go vet` and this command) as a hard
+// gate.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -27,50 +29,49 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	perfOn := flag.Bool("perf", true, "run the perf-invariant suite (hotpath analyzers + compiler gate)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lukewarmlint [-list] [-perf=false] [packages]\n\nAnalyzers:\n")
-		for _, a := range allAnalyzers(true) {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", "perfgate",
-			"verifies //lukewarm:hotpath invariants against go build -gcflags="+
-				"'-m=2 -d=ssa/check_bce/debug=1' diagnostics")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main, returning the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lukewarmlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: lukewarmlint [-list] [packages]\n\nAnalyzers:\n")
+		listAnalyzers(stderr)
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *list {
-		for _, a := range allAnalyzers(*perfOn) {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		if *perfOn {
-			fmt.Printf("%-12s %s\n", "perfgate", "verifies //lukewarm:hotpath invariants against compiler diagnostics")
-		}
-		return
+		listAnalyzers(stdout)
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lukewarmlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "lukewarmlint:", err)
+		return 2
 	}
-	diags, err := analysis.Run(pkgs, allAnalyzers(*perfOn))
+	diags, err := analysis.Run(pkgs, analyzers())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lukewarmlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "lukewarmlint:", err)
+		return 2
 	}
-	if *perfOn {
-		gate, err := perf.CompileCheck(".", pkgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lukewarmlint:", err)
-			os.Exit(2)
-		}
-		diags = append(diags, gate...)
+	gate, err := perf.CompileCheck(".", pkgs)
+	if err != nil {
+		fmt.Fprintln(stderr, "lukewarmlint:", err)
+		return 2
 	}
+	diags = append(diags, gate...)
 	cwd, _ := os.Getwd()
 	for _, d := range diags {
 		if cwd != "" {
@@ -78,18 +79,23 @@ func main() {
 				d.Pos.Filename = rel
 			}
 		}
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "lukewarmlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "lukewarmlint: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }
 
-func allAnalyzers(perfOn bool) []*analysis.Analyzer {
-	as := analysis.All()
-	if perfOn {
-		as = append(as, perf.Analyzers()...)
+func analyzers() []*analysis.Analyzer {
+	return append(analysis.All(), perf.Analyzers()...)
+}
+
+// listAnalyzers prints one line per analyzer, then the compiler gate.
+func listAnalyzers(w io.Writer) {
+	for _, a := range analyzers() {
+		fmt.Fprintf(w, "%-12s %s\n", a.Name, a.Doc)
 	}
-	return as
+	fmt.Fprintf(w, "%-12s %s\n", "perfgate", perf.GateDoc)
 }

@@ -12,7 +12,7 @@
 //
 // The five analyzers and the bug class each front-runs:
 //
-//	mapiter     — range over a map in result-producing code; front-runs the
+//	mapiter     — range over a map in simulation code; front-runs the
 //	              golden determinism gates (the PR 4 vm.AddressSpace.Compact
 //	              frame-assignment bug was exactly this class).
 //	seedhygiene — global math/rand sources, constant RNG seeds, wall-clock
@@ -142,32 +142,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 const modulePath = "lukewarm"
 
-// resultPkgs are the packages whose outputs feed rendered tables, golden
-// snapshots, or cache keys: the determinism surface.
-var resultPkgs = map[string]bool{
-	modulePath + "/internal/vm":          true,
-	modulePath + "/internal/mem":         true,
-	modulePath + "/internal/cpu":         true,
-	modulePath + "/internal/pif":         true,
-	modulePath + "/internal/serverless":  true,
-	modulePath + "/internal/sched":       true,
-	modulePath + "/internal/cluster":     true,
-	modulePath + "/internal/experiments": true,
-	modulePath + "/internal/runner":      true,
-	modulePath + "/internal/stats":       true,
-}
-
 func inModule(path string) bool {
 	return path == modulePath || strings.HasPrefix(path, modulePath+"/")
-}
-
-// resultProducing reports whether pkg's iteration order can reach a result
-// table or cache key.
-func resultProducing(path string) bool {
-	if !inModule(path) {
-		return true // fixtures
-	}
-	return resultPkgs[path]
 }
 
 // simulation reports whether pkg is part of the simulated stack (everything
@@ -210,16 +186,9 @@ func (p *Pass) waived(pos token.Pos, directive string) bool {
 	return false
 }
 
-// Waived is the exported face of waived, for the perf sub-package's
-// analyzers: their waiver directives (`hothygiene`, `hotalloc`) obey the same
-// placement and mandatory-reason rules as the base suite's.
-func (p *Pass) Waived(pos token.Pos, directive string) bool {
-	return p.waived(pos, directive)
-}
-
 // WaiverReason is the exported face of waiverReason: the perf sub-package
-// reuses the directive parser for its `//lukewarm:hotpath` annotations so the
-// grammar stays in one place.
+// reuses the directive parser for its `//lukewarm:hotpath` annotations and
+// `hotalloc` waivers so the grammar stays in one place.
 func WaiverReason(comment, directive string) (string, bool) {
 	return waiverReason(comment, directive)
 }

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// MapIter flags iteration over maps in result-producing packages: Go
+// MapIter flags iteration over maps in simulation packages: Go
 // randomizes map iteration order, so any such loop whose effects are
 // order-sensitive feeds nondeterminism straight into rendered tables, cache
 // keys, or replay state (the PR 4 vm.AddressSpace.Compact frame-assignment
@@ -23,12 +23,12 @@ import (
 // `slices.Sorted*` or waived.
 var MapIter = &Analyzer{
 	Name: "mapiter",
-	Doc:  "flags order-sensitive iteration over maps in result-producing packages",
+	Doc:  "flags order-sensitive iteration over maps in simulation packages",
 	Run:  runMapIter,
 }
 
 func runMapIter(pass *Pass) error {
-	if !resultProducing(pass.Pkg.Path()) {
+	if !simulation(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {

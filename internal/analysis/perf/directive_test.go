@@ -54,6 +54,23 @@ func (c *Cache) locate(i int) int {
 	}
 }
 
+// TestHotpathGofmtForm checks the layout gofmt gives a doc comment that ends
+// in a directive: prose, a bare "//" line, then the directive. The directive
+// is still the group's last line, so it binds.
+func TestHotpathGofmtForm(t *testing.T) {
+	src := `package p
+
+// f is documented prose.
+//
+//lukewarm:hotpath noalloc gofmt separates the directive from the prose
+func f() {}
+`
+	hot, issues := scan(t, src)
+	if len(issues) != 0 || len(hot) != 1 || hot[0].Name != "f" {
+		t.Fatalf("gofmt form did not bind: hot=%v issues=%v", hot, issues)
+	}
+}
+
 // TestHotpathGrammarDiagnostics pins the exact diagnostic for each edge case
 // the directive grammar rejects.
 func TestHotpathGrammarDiagnostics(t *testing.T) {

@@ -22,7 +22,7 @@ var StatReg = &Analyzer{
 }
 
 func runStatReg(pass *Pass) error {
-	if !resultProducing(pass.Pkg.Path()) {
+	if !simulation(pass.Pkg.Path()) {
 		return nil
 	}
 	graph := packageFuncDecls(pass)

@@ -24,25 +24,28 @@ import (
 // stream. (The property is specific to adding ways — changing the set count
 // re-hashes addresses and legitimately breaks monotonicity.)
 func propCacheMonotonic() error {
-	streams := map[string][]access{
-		"random":   randomAccesses(11, 40000, 64, 0, 0.25),
-		"hot-cold": hotColdAccesses(12, 40000, 8, 2048),
-		"strided":  stridedAccesses(20000, 4<<10, 1<<20),
+	streams := []struct {
+		name   string
+		stream []access
+	}{
+		{"random", randomAccesses(11, 40000, 64, 0, 0.25)},
+		{"hot-cold", hotColdAccesses(12, 40000, 8, 2048)},
+		{"strided", stridedAccesses(20000, 4<<10, 1<<20)},
 	}
-	for name, stream := range streams {
+	for _, s := range streams {
 		prev := uint64(math.MaxUint64)
 		for _, ways := range []int{2, 4, 8, 16} {
 			// 64 sets at every associativity: SizeBytes scales with ways.
 			cfg := mem.Config{Name: "mono", SizeBytes: 64 * mem.LineSize * ways,
 				Ways: ways, HitLatency: 1, MSHRs: 8}
 			c := mem.NewCache(cfg)
-			for i, a := range stream {
+			for i, a := range s.stream {
 				c.DemandAccess(mem.Cycle(i), a.addr, mem.Data, a.write)
 			}
 			misses := c.Stats.DemandMisses[mem.Data]
 			if misses > prev {
 				return fmt.Errorf("%s stream: %d ways missed %d times, %d ways missed %d — larger cache missed more",
-					name, ways/2, prev, ways, misses)
+					s.name, ways/2, prev, ways, misses)
 			}
 			prev = misses
 		}

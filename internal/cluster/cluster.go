@@ -406,6 +406,7 @@ func reqKey(flowIdx, reqIdx int) uint64 {
 
 // push enqueues an event at its time, after every event already queued for
 // the same time.
+//
 //lukewarm:hotpath noalloc every fleet event — arrivals, retries, crashes, readmissions — is enqueued here
 func (r *run) push(e event) { r.q.Push(e.at, e) }
 

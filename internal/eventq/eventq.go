@@ -47,9 +47,10 @@ func less[T any](h []entry[T], i, j int) bool {
 
 // Push queues v at time at, after every payload already queued at the same
 // time.
+//
 //lukewarm:hotpath noalloc one push per generated invocation and fleet event; boxing here was the dispatch loops' last steady-state allocation
 func (q *Queue[T]) Push(at mem.Cycle, v T) {
-	q.h = append(q.h, entry[T]{at: at, seq: q.seq, v: v}) //lukewarm:hotalloc the backing array grows to the in-flight high-water mark once, then is reused
+	q.h = append(q.h, entry[T]{at: at, seq: q.seq, v: v})
 	q.seq++
 	h := q.h
 	for i := len(h) - 1; i > 0; {
@@ -64,6 +65,7 @@ func (q *Queue[T]) Push(at mem.Cycle, v T) {
 
 // Pop removes the earliest payload and returns it with its time. The queue
 // must not be empty.
+//
 //lukewarm:hotpath noalloc,noescape one pop per dispatched invocation and fleet event; pure in-place swaps
 func (q *Queue[T]) Pop() (mem.Cycle, T) {
 	h := q.h

@@ -36,15 +36,15 @@ const (
 	clusterSeed      = 31
 	clusterFaultSeed = 1009
 
-	clusterDeadlineMs  = 150
-	clusterRetryMax    = 2
-	clusterBackoffMs   = 2
-	clusterHedgeMinMs  = 1
-	clusterEjectAfter  = 4
-	clusterEjectMs     = 50
-	clusterShedLowMs   = 20
-	clusterRecOnlyMs   = 40
-	clusterRejectMs    = 80
+	clusterDeadlineMs = 150
+	clusterRetryMax   = 2
+	clusterBackoffMs  = 2
+	clusterHedgeMinMs = 1
+	clusterEjectAfter = 4
+	clusterEjectMs    = 50
+	clusterShedLowMs  = 20
+	clusterRecOnlyMs  = 40
+	clusterRejectMs   = 80
 )
 
 // clusterNodeCounts is the fleet-size axis.

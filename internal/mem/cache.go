@@ -173,6 +173,7 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // setIdx lazily resets a flushed set and returns its index. Only mutators
 // (fill) call it — lookups bail out on a stale epoch without writing.
+//
 //lukewarm:hotpath noalloc,inline every fill starts here; inlining keeps the epoch check branch-predictable
 func (c *Cache) setIdx(addr uint64) int {
 	s := int((addr >> LineShift) & c.setMask)
@@ -197,6 +198,7 @@ func tagOf(addr uint64) uint64 { return addr >> LineShift }
 
 // findWay returns the set index and absolute way index of addr, or way -1.
 // It never writes: a set not touched since the last Flush is simply a miss.
+//
 //lukewarm:hotpath noalloc,inline the tag scan runs once per simulated memory reference
 func (c *Cache) findWay(addr uint64) (int, int) {
 	s := int((addr >> LineShift) & c.setMask)
@@ -216,6 +218,7 @@ func (c *Cache) findWay(addr uint64) (int, int) {
 
 // touch moves way w of set s to the front of the recency order (the packed
 // list, or a fresh stamp for wide caches).
+//
 //lukewarm:hotpath noalloc,noescape the PR 9 SWAR recency update must stay branch-light and allocation-free
 func (c *Cache) touch(s, w int) {
 	if c.recency == nil {
@@ -253,6 +256,7 @@ type accessOutcome struct {
 
 // access performs a demand lookup for addr at time now, updating LRU and
 // demand counters.
+//
 //lukewarm:hotpath noalloc,noescape every demand reference at every cache level lands here
 func (c *Cache) access(now Cycle, addr uint64, k Kind, write bool) accessOutcome {
 	c.Stats.DemandAccesses[k]++
@@ -296,6 +300,7 @@ type victim struct {
 // fill installs addr, evicting the LRU way if needed. prefetched marks
 // prefetcher-installed lines; ready is when in-flight data arrives (demand
 // fills pass now).
+//
 //lukewarm:hotpath noalloc,noescape miss handling fills on every level; the victim struct must stay on the stack
 func (c *Cache) fill(now Cycle, addr uint64, k Kind, prefetched bool, ready Cycle) victim {
 	tag := tagOf(addr)

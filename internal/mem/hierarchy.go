@@ -1,6 +1,5 @@
 package mem
 
-
 // HierarchyConfig assembles the per-level cache configurations of one
 // simulated platform. Table 1 of the paper defines the Skylake-like setup;
 // Sec. 5.6 the Broadwell-like one.

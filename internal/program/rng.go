@@ -33,6 +33,7 @@ func Mix(a, b uint64) uint64 {
 }
 
 // Uint64 returns the next raw 64-bit value.
+//
 //lukewarm:hotpath noalloc,noescape,inline,nobce three draws per generated instruction; must compile to straight-line xorshift
 func (r *RNG) Uint64() uint64 {
 	r.state ^= r.state >> 12
