@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test lint bench benchdiff profile
+.PHONY: all build test lint bench profile
 
 all: build test
 
@@ -21,26 +21,35 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lukewarmlint ./...
 
-# bench captures the performance trajectory: the fleet-simulation benchmarks,
-# the raw simulator-throughput benchmark, the REAP restore path, the arrival
-# forecasters and the pre-warm sweep kernel, one iteration each, serialized
-# to BENCH_$(PR).json via cmd/benchjson. Refresh
-# the committed snapshot when simulator performance changes materially.
-#
-# PR defaults to one past the highest committed BENCH_<n>.json so each PR's
-# `make bench` lands a fresh snapshot without editing this file; override
-# with `make bench PR=ci` (or any explicit tag) to write elsewhere.
-PR ?= $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9]*\)\.json$$/\1/p' | sort -n | tail -1 | awk '{print $$1 + 1}')
+# bench is the perf gate. It runs the repo benchmark (perfbench, declared in
+# BENCHMARK.json) on the parent commit and on the working tree, on this host,
+# and fails when the working tree is worse. On a pull request, CI checks out
+# GitHub's merge commit, whose parent is the pull request's base. The parent
+# is checked out in a throwaway git worktree under .bench_build/ab, removed on
+# every exit. Each of 5 pairs runs every workload once per tree, back to
+# back, with the pair's seed and BENCHMARK.json's run_seconds, alternating
+# which tree goes first. cmd/benchdiff then holds each metric's median change
+# over the pairs to BENCHMARK.json's bound: the host's speed drifts over
+# minutes, and pairing cancels the drift. The run logs stay in
+# .bench_build/ab/{base,head}.
 bench:
-	$(GO) test -run '^$$' -bench 'Fleet|ExtensionCluster|SimulationThroughput|ReapRestore|Forecast|PrewarmSweep' -benchtime 1x ./internal/cluster ./internal/reap ./internal/predict ./internal/serverless . \
-		| $(GO) run ./cmd/benchjson > BENCH_$(PR).json
-	@echo "wrote BENCH_$(PR).json"
-
-# benchdiff compares the two newest committed BENCH_<n>.json snapshots and
-# fails when the simulator-throughput trajectory regresses by more than 10%;
-# other benches (fleet sweeps dominated by scheduling noise) only warn.
-benchdiff:
-	$(GO) run ./cmd/benchdiff
+	@set -eu; ab="$(CURDIR)/.bench_build/ab"; wt="$$ab/tree"; \
+	cleanup() { git worktree remove --force "$$wt" >/dev/null 2>&1 || true; git worktree prune; }; \
+	trap cleanup EXIT; trap 'exit 130' INT TERM; \
+	rm -rf "$$ab"; git worktree prune; mkdir -p "$$ab/base" "$$ab/head"; \
+	git worktree add --quiet --detach "$$wt" HEAD^; \
+	secs=$$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json); \
+	workloads=$$(sed -n '/"workloads"/,/]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json); \
+	for i in 1 2 3 4 5; do \
+		order="base head"; [ $$((i % 2)) -eq 1 ] || order="head base"; \
+		for w in $$workloads; do for side in $$order; do \
+			tree="$(CURDIR)"; [ $$side = head ] || tree="$$wt"; \
+			echo "bench: pair $$i/5 $$w $$side"; \
+			(cd "$$tree" && bash perfbench/run.sh --workload $$w --seed $$i --seconds $$secs --trace 0) \
+				> "$$ab/$$side/$$w-$$i.out" || true; \
+		done; done; \
+	done; \
+	$(GO) run ./cmd/benchdiff BENCHMARK.json "$$ab/base" "$$ab/head"
 
 # profile captures CPU and heap profiles of the simulator's hot loop (the
 # throughput benchmark); inspect with `go tool pprof cpu.prof`. The same

@@ -1,231 +1,270 @@
-// Command benchdiff compares two benchmark snapshots produced by
-// cmd/benchjson and enforces the repository's throughput trajectory: the
-// simulator's instruction rate must not silently regress between PRs.
+// Command benchdiff is the repository's perf gate. It compares runs of the
+// repo benchmark (perfbench, declared in BENCHMARK.json) made on one host on
+// a base and a head tree, and fails when head is worse.
 //
 // Usage:
 //
-//	benchdiff [-dir DIR] [-threshold PCT] [-strict] [old.json new.json]
+//	benchdiff BENCHMARK.json BASE_DIR HEAD_DIR
 //
-// With explicit file arguments it diffs those two snapshots; with none it
-// picks the two highest-numbered BENCH_<n>.json files in -dir (default ".").
-// Every metric present in both snapshots is reported. A drop of more than
-// -threshold percent (default 10) in the SimulationThroughput benchmark's
-// Minstr/s is a hard failure (exit 1); regressions in other benchmarks —
-// fleet and experiment benches dominated by scheduling noise — are warnings
-// only, unless -strict promotes every over-threshold regression to a
-// failure. Higher-is-better metrics (Minstr/s and friends) and
-// lower-is-better ones (ns/op) are both handled.
+// Each directory holds one file per run, named <workload>-<n>.out: the run's
+// standard output, whose last line is perfbench's JSON summary. `make bench`
+// writes them. For every workload BENCHMARK.json declares, benchdiff fails
+// (exit 1) when
+//
+//   - a run on either side has no summary or reports correct:false;
+//   - a run has no pair on the other side;
+//   - head fails a larger share of operations than base;
+//   - for an end-to-end metric, head is worse than base by more than the
+//     metric's bound, in the metric's direction. The change compared is the
+//     median, over the pairs of runs made with one seed, of head's value
+//     divided by base's.
+//
+// It exits 0 when every check passes and 2 on a usage error or an unreadable
+// BENCHMARK.json.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// entry mirrors cmd/benchjson's output element.
-type entry struct {
-	Name       string             `json:"name"`
-	Package    string             `json:"package"`
-	Iterations int                `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+// spec is the part of BENCHMARK.json the gate reads.
+type spec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []endToEnd `json:"end_to_end"`
 }
 
-// key identifies one metric of one benchmark across snapshots.
-type key struct {
-	bench, metric string
+// endToEnd is one gated metric: a relative bound in its better direction.
+type endToEnd struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
-// gatedBench is the benchmark whose throughput trajectory is load-bearing:
-// PR 9's flattened timing core is only a win if it stays won.
-const (
-	gatedBench  = "BenchmarkSimulationThroughput"
-	gatedMetric = "Minstr/s"
-)
+// summary is perfbench's last line of standard output.
+type summary struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
 
-// lowerIsBetter reports whether a metric improves downward.
-func lowerIsBetter(metric string) bool {
-	switch metric {
-	case "ns/op", "B/op", "allocs/op":
-		return true
+	path string // the run's output file
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 3 {
+		fmt.Fprintln(stderr, "usage: benchdiff BENCHMARK.json BASE_DIR HEAD_DIR")
+		return 2
 	}
-	return false
+	sp, err := loadSpec(args[0])
+	if err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
+	}
+	fmt.Fprintf(stdout, "benchdiff: base %s, head %s\n", args[1], args[2])
+	rows, failures := compare(sp, args[1], args[2])
+	for _, r := range rows {
+		fmt.Fprintln(stdout, r)
+	}
+	for _, f := range failures {
+		fmt.Fprintln(stderr, "benchdiff: FAIL", f)
+	}
+	if len(failures) > 0 {
+		return 1
+	}
+	fmt.Fprintln(stdout, "benchdiff: ok")
+	return 0
 }
 
-func load(path string) (map[key]float64, error) {
+func loadSpec(path string) (spec, error) {
+	var sp spec
 	data, err := os.ReadFile(path)
+	if err != nil {
+		return sp, err
+	}
+	if err := json.Unmarshal(data, &sp); err != nil {
+		return sp, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(sp.Workloads) == 0 || len(sp.EndToEnd) == 0 {
+		return sp, fmt.Errorf("%s: no workloads or no end-to-end metrics", path)
+	}
+	for _, m := range sp.EndToEnd {
+		if m.Better != "lower" && m.Better != "higher" {
+			return sp, fmt.Errorf("%s: metric %s: better is %q, want lower or higher", path, m.Name, m.Better)
+		}
+	}
+	return sp, nil
+}
+
+// loadPairs reads one workload's runs on both sides, paired by file name:
+// base[i] and head[i] ran with the same seed, one right after the other.
+func loadPairs(baseDir, headDir, workload string) (base, head []summary, err error) {
+	bs, err := loadRuns(baseDir, workload)
+	if err != nil {
+		return nil, nil, err
+	}
+	hs, err := loadRuns(headDir, workload)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(bs) == 0 || len(bs) != len(hs) {
+		return nil, nil, fmt.Errorf("%d base and %d head runs; each run needs its pair", len(bs), len(hs))
+	}
+	names := make([]string, 0, len(bs))
+	for name := range bs {
+		if _, ok := hs[name]; !ok {
+			return nil, nil, fmt.Errorf("%s has no head run to pair with", name)
+		}
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		base = append(base, bs[name])
+		head = append(head, hs[name])
+	}
+	return base, head, nil
+}
+
+// loadRuns reads the summaries of one workload's runs in dir, keyed by file
+// name.
+func loadRuns(dir, workload string) (map[string]summary, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, workload+"-*.out"))
 	if err != nil {
 		return nil, err
 	}
-	var entries []entry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	m := map[key]float64{}
-	for _, e := range entries {
-		for name, v := range e.Metrics {
-			m[key{e.Name, name}] = v
-		}
-	}
-	return m, nil
-}
-
-var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
-
-// latestPair returns the two highest-numbered BENCH_<n>.json paths in dir,
-// oldest first.
-func latestPair(dir string) (string, string, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return "", "", err
-	}
-	type snap struct {
-		n    int
-		path string
-	}
-	var snaps []snap
-	for _, p := range names {
-		m := benchFile.FindStringSubmatch(filepath.Base(p))
-		if m == nil {
-			continue
-		}
-		n, err := strconv.Atoi(m[1])
+	runs := make(map[string]summary, len(paths))
+	for _, p := range paths {
+		s, err := loadSummary(p)
 		if err != nil {
-			continue
+			return nil, err
 		}
-		snaps = append(snaps, snap{n, p})
+		runs[filepath.Base(p)] = s
 	}
-	if len(snaps) < 2 {
-		return "", "", fmt.Errorf("need at least two BENCH_<n>.json snapshots in %s, found %d", dir, len(snaps))
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].n < snaps[j].n })
-	return snaps[len(snaps)-2].path, snaps[len(snaps)-1].path, nil
+	return runs, nil
 }
 
-// trimProcs renames the new snapshot's benchmarks that carry go test's
-// "-N" GOMAXPROCS suffix to their bare names when only the bare name is in
-// the old snapshot — a multi-core snapshot written before cmd/benchjson
-// stripped the suffix. Exact names win, so a sub-benchmark whose own name
-// ends in -<digits> is never renamed.
-func trimProcs(oldM, newM map[key]float64) map[key]float64 {
-	inOld, inNew := map[string]bool{}, map[string]bool{}
-	for k := range oldM {
-		inOld[k.bench] = true
+// loadSummary parses the last non-empty line of a run's output.
+func loadSummary(path string) (summary, error) {
+	s := summary{path: path}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return s, err
 	}
-	for k := range newM {
-		inNew[k.bench] = true
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	last := lines[len(lines)-1]
+	if last == "" {
+		return s, fmt.Errorf("%s: no summary line (did the run fail to build or crash?)", path)
 	}
-	out := make(map[key]float64, len(newM))
-	for k, v := range newM {
-		if i := strings.LastIndexByte(k.bench, '-'); i >= 0 && !inOld[k.bench] {
-			bare := k.bench[:i]
-			if _, err := strconv.Atoi(k.bench[i+1:]); err == nil && inOld[bare] && !inNew[bare] {
-				k.bench = bare
+	if err := json.Unmarshal([]byte(last), &s); err != nil {
+		return s, fmt.Errorf("%s: last line is not a summary: %w", path, err)
+	}
+	if s.Metrics == nil {
+		return s, fmt.Errorf("%s: summary has no metrics", path)
+	}
+	return s, nil
+}
+
+// compare gates head's runs against base's. rows holds one rendered line
+// per workload and metric; failures holds one message per tripped check.
+//
+// A metric's change is the median over pairs of head's value divided by
+// base's. The two runs of a pair ran back to back, so a shift in the host's
+// speed over minutes moves both, and the median drops the pairs that a
+// shift split.
+func compare(sp spec, baseDir, headDir string) (rows, failures []string) {
+	fail := func(format string, a ...any) { failures = append(failures, fmt.Sprintf(format, a...)) }
+	for _, w := range sp.Workloads {
+		base, head, err := loadPairs(baseDir, headDir, w.Name)
+		if err != nil {
+			fail("%s: %v", w.Name, err)
+			continue
+		}
+		for _, runs := range [][]summary{base, head} {
+			for _, s := range runs {
+				if !s.Correct {
+					fail("%s: %s reported correct:false", w.Name, s.path)
+				}
 			}
 		}
-		out[k] = v
-	}
-	return out
-}
-
-// compare diffs every metric present in both snapshots. rows holds one
-// rendered table line per shared metric in (bench, metric) order; failures
-// holds one message per tripped gate — the gated throughput metric past
-// threshold, any over-threshold regression when strict is set, and the gated
-// metric going missing from the new snapshot.
-func compare(oldM, newM map[key]float64, threshold float64, strict bool) (rows, failures []string) {
-	newM = trimProcs(oldM, newM)
-	keys := make([]key, 0, len(newM))
-	for k := range newM {
-		if _, ok := oldM[k]; ok {
-			keys = append(keys, k)
+		if fb, fh := failedShare(base), failedShare(head); fh > fb {
+			fail("%s: head failed %.4g of operations, base %.4g", w.Name, fh, fb)
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bench != keys[j].bench {
-			return keys[i].bench < keys[j].bench
-		}
-		return keys[i].metric < keys[j].metric
-	})
-
-	for _, k := range keys {
-		ov, nv := oldM[k], newM[k]
-		if ov == 0 {
-			continue
-		}
-		deltaPct := (nv - ov) / ov * 100
-		regressPct := deltaPct // higher is better: a drop is negative
-		if lowerIsBetter(k.metric) {
-			regressPct = -deltaPct
-		}
-		status := "ok"
-		if regressPct < -threshold {
-			gated := k.bench == gatedBench && k.metric == gatedMetric
-			if gated || strict {
+		for _, m := range sp.EndToEnd {
+			bv, okB := values(base, m.Name)
+			hv, okH := values(head, m.Name)
+			if !okB || !okH {
+				fail("%s %s: missing from a run's summary", w.Name, m.Name)
+				continue
+			}
+			ratios := make([]float64, len(bv))
+			for i := range bv {
+				ratios[i] = 1
+				if hv[i] != bv[i] {
+					ratios[i] = hv[i] / bv[i]
+				}
+			}
+			delta := median(ratios) - 1
+			worse := delta
+			if m.Better == "higher" {
+				worse = -delta
+			}
+			status := "ok"
+			if worse > m.Bound {
 				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s %s regressed %.1f%% (threshold %.0f%%)",
-					k.bench, k.metric, -regressPct, threshold))
-			} else {
-				status = "warn"
+				fail("%s %s: head is %.1f%% worse than base, median over %d pairs (bound %.0f%%, %s is better)",
+					w.Name, m.Name, worse*100, len(ratios), m.Bound*100, m.Better)
 			}
+			rows = append(rows, fmt.Sprintf("  %-4s %-16s %-12s base %10.4g  head %10.4g  paired %+7.1f%%  (bound %.0f%%, %d pairs)",
+				status, w.Name, m.Name, median(bv), median(hv), delta*100, m.Bound*100, len(ratios)))
 		}
-		rows = append(rows, fmt.Sprintf("  %-4s %-50s %-10s %12.4g -> %-12.4g (%+.1f%%)",
-			status, k.bench, k.metric, ov, nv, deltaPct))
-	}
-	if _, ok := newM[key{gatedBench, gatedMetric}]; !ok {
-		failures = append(failures, fmt.Sprintf("gated metric %s %s missing from the new snapshot",
-			gatedBench, gatedMetric))
 	}
 	return rows, failures
 }
 
-func main() {
-	dir := flag.String("dir", ".", "directory holding BENCH_<n>.json snapshots")
-	threshold := flag.Float64("threshold", 10, "max tolerated %% regression in the gated throughput metric")
-	strict := flag.Bool("strict", false, "fail on any over-threshold regression, not just the gated metric")
-	flag.Parse()
+// failedShare is the share of a side's operations its runs failed.
+func failedShare(runs []summary) float64 {
+	var failed, attempted int
+	for _, s := range runs {
+		failed += s.Failed
+		attempted += s.Attempted
+	}
+	if attempted == 0 {
+		return 0
+	}
+	return float64(failed) / float64(attempted)
+}
 
-	var oldPath, newPath string
-	var err error
-	switch flag.NArg() {
-	case 0:
-		oldPath, newPath, err = latestPair(*dir)
-	case 2:
-		oldPath, newPath = flag.Arg(0), flag.Arg(1)
-	default:
-		err = fmt.Errorf("want zero or two file arguments, got %d", flag.NArg())
+// values lists metric name over runs; ok is false when a run lacks it.
+func values(runs []summary, name string) (vs []float64, ok bool) {
+	for _, s := range runs {
+		m, ok := s.Metrics[name]
+		if !ok {
+			return nil, false
+		}
+		vs = append(vs, m.Value)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
+	return vs, true
+}
 
-	oldM, err := load(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+// median is the median of vs, which it sorts.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
 	}
-	newM, err := load(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-
-	fmt.Printf("benchdiff: %s -> %s\n", oldPath, newPath)
-	rows, failures := compare(oldM, newM, *threshold, *strict)
-	for _, row := range rows {
-		fmt.Println(row)
-	}
-	for _, f := range failures {
-		fmt.Fprintln(os.Stderr, "benchdiff:", f)
-	}
-	if len(failures) > 0 {
-		os.Exit(1)
-	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

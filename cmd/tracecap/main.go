@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lukewarm"
@@ -22,30 +24,46 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "capture":
-		err = capture(os.Args[2:])
-	case "info":
-		err = info(os.Args[2:])
-	case "run":
-		err = run(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracecap:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `tracecap - capture, inspect and re-simulate instruction traces
+// errUsage marks a subcommand's flag error, already reported by its flag
+// set.
+var errUsage = errors.New("usage")
+
+// run executes one subcommand and returns the exit status: 0 on success or
+// -h, 1 on a failed capture, decode or simulation, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
+	}
+	var err error
+	switch args[0] {
+	case "capture":
+		err = capture(args[1:], stdout, stderr)
+	case "info":
+		err = info(args[1:], stdout)
+	case "run":
+		err = simulate(args[1:], stdout, stderr)
+	default:
+		usage(stderr)
+		return 2
+	}
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	case err != nil:
+		fmt.Fprintln(stderr, "tracecap:", err)
+		return 1
+	}
+	return 0
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `tracecap - capture, inspect and re-simulate instruction traces
 
 subcommands:
   capture -fn <function> [-inv N] -o <file>   capture one invocation
@@ -53,12 +71,23 @@ subcommands:
   run [-platform P] [-lukewarm] <file>        simulate a trace`)
 }
 
-func capture(args []string) error {
-	fs := flag.NewFlagSet("capture", flag.ExitOnError)
+// parse parses a subcommand's flags, reporting errors to stderr.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	return nil
+}
+
+func capture(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
 	fn := fs.String("fn", "Auth-G", "function name (see `lukewarm table2`)")
 	inv := fs.Uint64("inv", 0, "invocation id")
 	out := fs.String("o", "", "output file")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if *out == "" {
 		return fmt.Errorf("capture needs -o <file>")
 	}
@@ -79,12 +108,12 @@ func capture(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("captured %s invocation %d: %d instructions, %d bytes (%.2f B/instr)\n",
+	fmt.Fprintf(stdout, "captured %s invocation %d: %d instructions, %d bytes (%.2f B/instr)\n",
 		*fn, *inv, n, st.Size(), float64(st.Size())/float64(n))
 	return nil
 }
 
-func info(args []string) error {
+func info(args []string, stdout io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("info needs exactly one trace file")
 	}
@@ -120,21 +149,23 @@ func info(args []string) error {
 		return fmt.Errorf("decoding: %w", err)
 	}
 	total := r.Count()
-	fmt.Printf("instructions: %d\n", total)
-	fmt.Printf("  plain:  %d (%.1f%%)\n", ops[program.OpPlain], pct(ops[program.OpPlain], total))
-	fmt.Printf("  loads:  %d (%.1f%%)\n", ops[program.OpLoad], pct(ops[program.OpLoad], total))
-	fmt.Printf("  stores: %d (%.1f%%)\n", ops[program.OpStore], pct(ops[program.OpStore], total))
-	fmt.Printf("  branch: %d (%.1f%%), %d taken\n", ops[program.OpBranch], pct(ops[program.OpBranch], total), taken)
-	fmt.Printf("code blocks executed: %d, unique footprint: %d blocks (%.0f KB)\n",
+	fmt.Fprintf(stdout, "instructions: %d\n", total)
+	fmt.Fprintf(stdout, "  plain:  %d (%.1f%%)\n", ops[program.OpPlain], pct(ops[program.OpPlain], total))
+	fmt.Fprintf(stdout, "  loads:  %d (%.1f%%)\n", ops[program.OpLoad], pct(ops[program.OpLoad], total))
+	fmt.Fprintf(stdout, "  stores: %d (%.1f%%)\n", ops[program.OpStore], pct(ops[program.OpStore], total))
+	fmt.Fprintf(stdout, "  branch: %d (%.1f%%), %d taken\n", ops[program.OpBranch], pct(ops[program.OpBranch], total), taken)
+	fmt.Fprintf(stdout, "code blocks executed: %d, unique footprint: %d blocks (%.0f KB)\n",
 		blocks, len(footprint), float64(len(footprint))*64/1024)
 	return nil
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func simulate(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	platform := fs.String("platform", "skylake", "skylake or broadwell")
 	luke := fs.Bool("lukewarm", true, "flush microarchitectural state before the run")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run needs exactly one trace file")
 	}
@@ -165,8 +196,8 @@ func run(args []string) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("decoding during run: %w", err)
 	}
-	fmt.Printf("%s, %s: %d instructions in %d cycles\n", fs.Arg(0), cfg.Name, res.Instrs, res.Cycles)
-	fmt.Printf("CPI %.3f  [retiring %.2f, fetch-lat %.2f, fetch-bw %.2f, bad-spec %.2f, backend %.2f]\n",
+	fmt.Fprintf(stdout, "%s, %s: %d instructions in %d cycles\n", fs.Arg(0), cfg.Name, res.Instrs, res.Cycles)
+	fmt.Fprintf(stdout, "CPI %.3f  [retiring %.2f, fetch-lat %.2f, fetch-bw %.2f, bad-spec %.2f, backend %.2f]\n",
 		res.CPI(),
 		res.Stack.CPIOf(lukewarm.Retiring),
 		res.Stack.CPIOf(lukewarm.FetchLatency),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -17,11 +18,25 @@ func clusterTestOptions() Options {
 	}
 }
 
-func TestClusterSweep(t *testing.T) {
-	r, err := Cluster(clusterTestOptions())
-	if err != nil {
-		t.Fatal(err)
+// clusterMemo holds the cluster sweep at clusterTestOptions. Every test of the
+// sweep reads this one result, so the sweep runs once per test binary.
+var clusterMemo struct {
+	sync.Once
+	r   ClusterResult
+	err error
+}
+
+func clusterTestResult(t *testing.T) ClusterResult {
+	t.Helper()
+	clusterMemo.Do(func() { clusterMemo.r, clusterMemo.err = Cluster(clusterTestOptions()) })
+	if clusterMemo.err != nil {
+		t.Fatal(clusterMemo.err)
 	}
+	return clusterMemo.r
+}
+
+func TestClusterSweep(t *testing.T) {
+	r := clusterTestResult(t)
 	want := len(clusterFleetPlacers) * len(clusterFaultLevels) * len(clusterNodeCounts)
 	if len(r.Rows) != want {
 		t.Fatalf("cluster sweep has %d rows, want %d", len(r.Rows), want)
@@ -73,10 +88,7 @@ func TestClusterSweep(t *testing.T) {
 }
 
 func TestClusterTables(t *testing.T) {
-	r, err := Cluster(clusterTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := clusterTestResult(t)
 	tbl := r.Table().String()
 	lat := r.LatencyTable().String()
 	for _, frag := range []string{"EarliestAvailable", "StickyAffinity", "heavy", "moderate"} {

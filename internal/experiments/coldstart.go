@@ -156,58 +156,15 @@ func execColdstart(c runner.Cell) (runner.Measurement, error) {
 	}
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, c.Warmup) // functional warm-up records manifest + metadata
-	srv.Core.Hier.ResetStats()
-	srv.Core.MMU.ResetStats()
-	srv.Core.BP.ResetStats()
-	srv.Core.BTB.ResetStats()
-	if inst.Jukebox != nil {
-		inst.Jukebox.ResetStats()
-	}
-	if inst.Reap != nil {
-		inst.Reap.ResetStats()
-	}
-
-	var out runner.Measurement
-	for i := 0; i < c.Measure; i++ {
+	return runner.MeasureWindow(srv, inst, c.Measure, func() cpu.RunResult {
 		if band.cold {
 			inst.Evict()
 			srv.FlushMicroarch()
 		} else {
 			srv.AdvanceIAT(band.iatMs)
 		}
-		res := srv.Invoke(inst)
-		if c.Audit {
-			if err := faults.Audit(res); err != nil {
-				return out, fmt.Errorf("%s invocation %d: %w", c.Label(), i, err)
-			}
-		}
-		if i == 0 {
-			out.FirstInvCycles = res.Cycles
-		}
-		out.Stack.Merge(res.Stack)
-		out.Instrs += res.Instrs
-		out.Cycles += res.Cycles
-	}
-	hier := srv.Core.Hier
-	hier.DrainUnusedPrefetches()
-	out.L1I, out.L2, out.LLC = hier.L1I.Stats, hier.L2.Stats, hier.LLC.Stats
-	out.DRAM = map[mem.TrafficClass]uint64{}
-	for _, cls := range []mem.TrafficClass{mem.TrafficDemand, mem.TrafficPrefetch,
-		mem.TrafficMetadataRecord, mem.TrafficMetadataReplay, mem.TrafficWriteback} {
-		out.DRAM[cls] = hier.DRAM.Bytes(cls)
-	}
-	if inst.Jukebox != nil {
-		out.JB = inst.Jukebox.Stats
-	}
-	if inst.Reap != nil {
-		out.Reap = inst.Reap.Stats
-		if c.Audit {
-			if err := faults.AuditReap(out.Reap); err != nil {
-				return out, fmt.Errorf("%s: %w", c.Label(), err)
-			}
-		}
-	}
-	return out, nil
+		return srv.Invoke(inst)
+	}, c.Audit)
 }
 
 // execColdstartStale executes one staleness point: freeze the manifest after

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -18,11 +19,25 @@ func schedTestOptions() Options {
 	}
 }
 
-func TestSchedPlacementSweep(t *testing.T) {
-	r, err := Sched(schedTestOptions())
-	if err != nil {
-		t.Fatal(err)
+// schedMemo holds the sched sweep at schedTestOptions. Every test of the
+// sweep reads this one result, so the sweep runs once per test binary.
+var schedMemo struct {
+	sync.Once
+	r   SchedResult
+	err error
+}
+
+func schedTestResult(t *testing.T) SchedResult {
+	t.Helper()
+	schedMemo.Do(func() { schedMemo.r, schedMemo.err = Sched(schedTestOptions()) })
+	if schedMemo.err != nil {
+		t.Fatal(schedMemo.err)
 	}
+	return schedMemo.r
+}
+
+func TestSchedPlacementSweep(t *testing.T) {
+	r := schedTestResult(t)
 	if want := len(schedShapes) * len(schedPlacers); len(r.Placement) != want {
 		t.Fatalf("placement sweep has %d rows, want %d", len(r.Placement), want)
 	}
@@ -63,10 +78,7 @@ func TestSchedPlacementSweep(t *testing.T) {
 }
 
 func TestSchedKeepAliveSweep(t *testing.T) {
-	r, err := Sched(schedTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := schedTestResult(t)
 	if want := len(schedShapes) * len(schedKeepAlives); len(r.KeepAlive) != want {
 		t.Fatalf("keep-alive sweep has %d rows, want %d", len(r.KeepAlive), want)
 	}
@@ -97,10 +109,7 @@ func TestSchedKeepAliveSweep(t *testing.T) {
 }
 
 func TestSchedTablesRender(t *testing.T) {
-	r, err := Sched(schedTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := schedTestResult(t)
 	for name, s := range map[string]string{
 		"placement":    r.Table().String(),
 		"keep-alive":   r.KeepAliveTable().String(),

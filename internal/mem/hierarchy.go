@@ -429,16 +429,6 @@ func (h *Hierarchy) FlushAll() {
 	h.lastDataBlock = 0
 }
 
-// ThrashFraction partially evicts every cache, modeling a bounded amount of
-// interleaved foreign execution (Fig. 1's sub-saturation IATs). frac is the
-// per-line eviction probability; rng supplies deterministic randomness.
-func (h *Hierarchy) ThrashFraction(frac float64, rng func() uint64) {
-	h.L1I.EvictFraction(frac, rng)
-	h.L1D.EvictFraction(frac, rng)
-	h.L2.EvictFraction(frac, rng)
-	h.LLC.EvictFraction(frac, rng)
-}
-
 // ResetStats zeroes all counters without disturbing cache contents.
 func (h *Hierarchy) ResetStats() {
 	h.L1I.ResetStats()

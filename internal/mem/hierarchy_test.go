@@ -193,26 +193,6 @@ func TestFlushAllObliteratesState(t *testing.T) {
 	}
 }
 
-func TestThrashFraction(t *testing.T) {
-	h := newTestHierarchy()
-	for i := uint64(0); i < 400; i++ {
-		h.FetchInstr(Cycle(i), i*64)
-	}
-	valid := h.L1I.CountValid() + h.L2.CountValid() + h.LLC.CountValid()
-	var state uint64 = 1
-	rng := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	h.ThrashFraction(0.9, rng)
-	after := h.L1I.CountValid() + h.L2.CountValid() + h.LLC.CountValid()
-	if after >= valid/2 {
-		t.Errorf("thrash 0.9 left %d of %d lines", after, valid)
-	}
-}
-
 func TestWritebackTrafficOnDirtyEvictions(t *testing.T) {
 	// Tiny hierarchy to force LLC evictions quickly.
 	cfg := HierarchyConfig{
@@ -270,5 +250,46 @@ func TestConfigPresets(t *testing.T) {
 	// All presets must construct cleanly.
 	for _, cfg := range []HierarchyConfig{sky, bdw, ch} {
 		NewHierarchy(cfg)
+	}
+}
+
+// TestFlushPrivateKeepsLLC: a private flush empties the L1s and the L2 and
+// leaves the shared LLC to the server.
+func TestFlushPrivateKeepsLLC(t *testing.T) {
+	h := newTestHierarchy()
+	for i := uint64(0); i < 64; i++ {
+		h.FetchInstr(Cycle(i), i*64)
+		h.AccessData(Cycle(i), 0x100000+i*64, false)
+	}
+	llc := h.LLC.CountValid()
+	h.FlushPrivate()
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+		if c.CountValid() != 0 {
+			t.Errorf("%s has %d valid lines after FlushPrivate", c.Config().Name, c.CountValid())
+		}
+	}
+	if got := h.LLC.CountValid(); got != llc || llc == 0 {
+		t.Errorf("LLC holds %d lines after FlushPrivate, want the %d it held", got, llc)
+	}
+}
+
+// TestPrefetchIntoLLC: the probing install is a no-op on a resident line,
+// the blind one streams it again; both fill the LLC only.
+func TestPrefetchIntoLLC(t *testing.T) {
+	h := newTestHierarchy()
+	const addr = 0x200000
+	ready := h.PrefetchIntoLLC(100, addr, TrafficPrefetch)
+	if ready <= 100 || !h.LLC.Probe(addr) || h.L2.Probe(addr) || h.L1D.Probe(addr) {
+		t.Fatalf("install: ready %d, LLC %v, L2 %v", ready, h.LLC.Probe(addr), h.L2.Probe(addr))
+	}
+	if got := h.PrefetchLineIntoLLC(200, addr, Instr, TrafficPrefetch); got != 200 {
+		t.Errorf("resident line: ready %d, want now (200)", got)
+	}
+	before := h.DRAM.Accesses(TrafficPrefetch)
+	if got := h.PrefetchLineIntoLLCBlind(300, addr, Instr, TrafficPrefetch); got <= 300 {
+		t.Errorf("blind install: ready %d, want after now (300)", got)
+	}
+	if got := h.DRAM.Accesses(TrafficPrefetch) - before; got != 1 {
+		t.Errorf("blind install moved %d lines, want 1", got)
 	}
 }

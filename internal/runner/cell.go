@@ -136,9 +136,8 @@ type Measurement struct {
 	// Reap holds the instance's REAP recorder/restorer counters; zero for
 	// cells without a Reap configuration.
 	Reap reap.Stats
-	// FirstInvCycles is the first measured invocation's cycle count — the
-	// start latency a custom executor chose to surface (the coldstart
-	// comparator); zero for standard cells.
+	// FirstInvCycles is the first measured invocation's cycle count, the
+	// start latency the coldstart comparator surfaces.
 	FirstInvCycles mem.Cycle
 	// MetaBytes is the per-instance metadata cost a custom executor chose to
 	// report (comparator prefetchers); zero for standard cells, whose
@@ -187,9 +186,9 @@ func Execute(c Cell) (Measurement, error) {
 }
 
 // MeasureInstance runs warmup then measure invocations of inst under md on
-// srv and returns the aggregated measurement window. Custom executors use it
-// after their own server setup. With audit set, every measured invocation
-// and the window's cache counters are checked against the faults package's
+// srv and returns the aggregated measurement window. With audit set, every
+// measured invocation, the instance's ledgers and, in the lukewarm regime,
+// the window's cache counters are checked against the faults package's
 // conservation invariants.
 func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode, warmup, measure int, audit bool) (Measurement, error) {
 	invoke := func() cpu.RunResult {
@@ -201,6 +200,33 @@ func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode,
 	for i := 0; i < warmup; i++ {
 		invoke()
 	}
+	out, err := MeasureWindow(srv, inst, measure, invoke, audit)
+	if err != nil {
+		return out, err
+	}
+	// Cache-counter conservation holds within a window whenever the window
+	// starts from flushed caches (the lukewarm regime); reference windows
+	// legitimately carry pre-reset prefetched lines across the stats reset.
+	if audit && md == Lukewarm {
+		for _, c := range []struct {
+			name  string
+			stats mem.CacheStats
+		}{{"L1I", out.L1I}, {"L2", out.L2}, {"LLC", out.LLC}} {
+			if err := faults.AuditCache(c.name, c.stats); err != nil {
+				return out, fmt.Errorf("%s: %w", inst.Workload.Name, err)
+			}
+		}
+	}
+	return out, nil
+}
+
+// MeasureWindow resets the counters of srv and inst, runs n invocations
+// through invoke, and returns the window's aggregated measurement. Custom
+// executors that prepare each invocation their own way (evict, idle, flush)
+// call it after their own warm-up. With audit set, every invocation and the
+// instance's Jukebox and REAP ledgers are checked against the faults
+// package's invariants.
+func MeasureWindow(srv *serverless.Server, inst *serverless.Instance, n int, invoke func() cpu.RunResult, audit bool) (Measurement, error) {
 	srv.Core.Hier.ResetStats()
 	srv.Core.MMU.ResetStats()
 	srv.Core.BP.ResetStats()
@@ -213,12 +239,15 @@ func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode,
 	}
 
 	var out Measurement
-	for i := 0; i < measure; i++ {
+	for i := 0; i < n; i++ {
 		res := invoke()
 		if audit {
 			if err := faults.Audit(res); err != nil {
 				return out, fmt.Errorf("%s invocation %d: %w", inst.Workload.Name, i, err)
 			}
+		}
+		if i == 0 {
+			out.FirstInvCycles = res.Cycles
 		}
 		out.Stack.Merge(res.Stack)
 		out.Instrs += res.Instrs
@@ -246,19 +275,6 @@ func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode,
 		out.Reap = inst.Reap.Stats
 		if audit {
 			if err := faults.AuditReap(out.Reap); err != nil {
-				return out, fmt.Errorf("%s: %w", inst.Workload.Name, err)
-			}
-		}
-	}
-	// Cache-counter conservation holds within a window whenever the window
-	// starts from flushed caches (the lukewarm regime); reference windows
-	// legitimately carry pre-reset prefetched lines across the stats reset.
-	if audit && md == Lukewarm {
-		for _, c := range []struct {
-			name  string
-			stats mem.CacheStats
-		}{{"L1I", out.L1I}, {"L2", out.L2}, {"LLC", out.LLC}} {
-			if err := faults.AuditCache(c.name, c.stats); err != nil {
 				return out, fmt.Errorf("%s: %w", inst.Workload.Name, err)
 			}
 		}
