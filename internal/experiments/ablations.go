@@ -8,7 +8,6 @@ import (
 	"lukewarm/internal/mem"
 	"lukewarm/internal/reap"
 	"lukewarm/internal/runner"
-	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
 	"lukewarm/internal/workload"
 )
@@ -37,23 +36,23 @@ func Compaction(opt Options) (CompactionResult, error) {
 	}
 	modes := []string{"virtual", "physical"}
 	// One batch: each workload's baseline once (the two addressing modes
-	// share it), then the post-compaction cells for both modes.
-	var cells []runner.Cell
+	// share it), then the post-compaction jobs for both modes.
+	var jobs []runner.Job[measured]
 	for _, w := range suite {
-		cells = append(cells, opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm))
+		jobs = append(jobs, opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm))
 	}
 	for _, label := range modes {
 		for _, w := range suite {
 			jb := core.DefaultConfig()
 			jb.UsePhysicalAddresses = label == "physical"
-			c := opt.variantCell("compact-"+label, w.Name, cpu.SkylakeConfig(), &jb, lukewarm)
+			c := opt.cell(w.Name, cpu.SkylakeConfig(), &jb, false, lukewarm)
 			// Measure exactly the first post-compaction invocation: later
 			// ones re-record valid addresses and would mask the effect.
 			c.Measure = 1
-			cells = append(cells, c)
+			jobs = append(jobs, compactionJob{c})
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execCompaction)
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}
@@ -76,22 +75,22 @@ func Compaction(opt Options) (CompactionResult, error) {
 	return out, nil
 }
 
-// execCompaction executes "compact-<mode>" cells: record metadata over the
-// cell's warm-up invocations, migrate every page, then measure the first
-// post-compaction invocation. Untagged baseline cells run standard.
-func execCompaction(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
-	}
-	w, err := suiteByName(c.Workload)
+// compactionJob records metadata over the cell's warm-up invocations,
+// migrates every page, then measures the first post-compaction invocations.
+type compactionJob struct{ runner.Cell }
+
+func (j compactionJob) Label() string {
+	return fmt.Sprintf("%s/compact-physical=%t", j.Workload, j.Jukebox.UsePhysicalAddresses)
+}
+
+func (j compactionJob) Run() (measured, error) {
+	srv, inst, err := j.Deploy()
 	if err != nil {
-		return runner.Measurement{}, err
+		return measured{}, err
 	}
-	srv := newServer(c.CPU, c.Jukebox, false)
-	inst := srv.Deploy(w)
-	srv.RunLukewarm(inst, c.Warmup) // record metadata
+	srv.RunLukewarm(inst, j.Warmup) // record metadata
 	inst.AS.Compact()               // the OS migrates every page
-	return runner.MeasureInstance(srv, inst, runner.Lukewarm, 0, c.Measure, c.Audit)
+	return runner.MeasureInstance(srv, inst, j.Mode, 0, j.Measure, j.Audit)
 }
 
 // Table renders the ablation.
@@ -127,17 +126,17 @@ func Snapshot(opt Options) (SnapshotResult, error) {
 	if err != nil {
 		return out, err
 	}
-	var cells []runner.Cell
+	var jobs []snapshotJob
 	for _, w := range suite {
 		jb := core.DefaultConfig()
-		replay := opt.variantCell("snapshot-replay", w.Name, cpu.SkylakeConfig(), &jb, lukewarm)
 		rc := reap.DefaultConfig()
+		replay := opt.cell(w.Name, cpu.SkylakeConfig(), &jb, false, lukewarm)
 		replay.Reap = &rc
-		cells = append(cells,
-			opt.variantCell("snapshot-cold", w.Name, cpu.SkylakeConfig(), nil, lukewarm),
-			replay)
+		jobs = append(jobs,
+			snapshotJob{opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm), false},
+			snapshotJob{replay, true})
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execSnapshot)
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}
@@ -152,41 +151,47 @@ func Snapshot(opt Options) (SnapshotResult, error) {
 	return out, nil
 }
 
-// execSnapshot executes the snapshot study's cells. "snapshot-cold" measures
-// a fresh instance's fully cold first invocation; "snapshot-replay" has a
-// donor record metadata over the cell's warm-up invocations, then a restored
-// instance adopt it and replay on its own first invocation.
-func execSnapshot(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
+// snapshotJob measures one instance's first invocation from a full flush.
+// Without replay the instance is fresh and fully cold; with replay a donor
+// records Jukebox metadata and a REAP manifest over the cell's warm-up
+// invocations, and a restored instance adopts both before its first
+// invocation.
+type snapshotJob struct {
+	runner.Cell
+	replay bool
+}
+
+func (j snapshotJob) Label() string {
+	return fmt.Sprintf("%s/snapshot-replay=%t", j.Workload, j.replay)
+}
+
+func (j snapshotJob) Run() (measured, error) {
+	srv, inst, err := j.Deploy()
 	if err != nil {
-		return runner.Measurement{}, err
+		return measured{}, err
 	}
-	switch c.Variant {
-	case "snapshot-cold":
-		srv := newServer(c.CPU, nil, false)
-		inst := srv.Deploy(w)
-		srv.FlushMicroarch()
-		res := srv.Invoke(inst)
-		return runner.Measurement{Instrs: res.Instrs, Cycles: res.Cycles}, nil
-	case "snapshot-replay":
-		srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
-		donor := srv.Deploy(w)
-		srv.RunLukewarm(donor, c.Warmup)
-		restored := srv.Deploy(w)
-		if err := restored.Jukebox.AdoptMetadata(donor.Jukebox); err != nil {
-			return runner.Measurement{}, fmt.Errorf("experiments: snapshot adopt %s: %w", w.Name, err)
+	if j.replay {
+		donor := inst
+		srv.RunLukewarm(donor, j.Warmup)
+		inst = srv.Deploy(donor.Workload)
+		if err := inst.Jukebox.AdoptMetadata(donor.Jukebox); err != nil {
+			return measured{}, fmt.Errorf("experiments: snapshot adopt %s: %w", j.Workload, err)
 		}
 		// The snapshot ships the REAP record file alongside the Jukebox
 		// metadata (internal/reap supersedes the metadata-only study): the
 		// restored instance prefetches the donor's page working set too.
-		if err := restored.Reap.AdoptManifest(donor.Reap); err != nil {
-			return runner.Measurement{}, fmt.Errorf("experiments: snapshot adopt %s: %w", w.Name, err)
+		if err := inst.Reap.AdoptManifest(donor.Reap); err != nil {
+			return measured{}, fmt.Errorf("experiments: snapshot adopt %s: %w", j.Workload, err)
 		}
-		srv.FlushMicroarch()
-		first := srv.Invoke(restored)
-		return runner.Measurement{Instrs: first.Instrs, Cycles: first.Cycles}, nil
 	}
-	return runner.Measurement{}, fmt.Errorf("experiments: unknown snapshot variant %q", c.Variant)
+	srv.FlushMicroarch()
+	res := srv.Invoke(inst)
+	if j.Audit {
+		if err := auditInvocation(inst, res); err != nil {
+			return measured{}, err
+		}
+	}
+	return measured{Instrs: res.Instrs, Cycles: res.Cycles}, nil
 }
 
 // Table renders the snapshot study.
@@ -225,16 +230,16 @@ func DynamicMetadata(opt Options) (DynamicMetadataResult, error) {
 	}
 	// Phase 1: each function's baseline plus an unlimited record-only pass
 	// that measures its metadata requirement.
-	var phase1 []runner.Cell
+	var phase1 []runner.Job[measured]
 	for _, w := range suite {
 		sizing := core.DefaultConfig()
 		sizing.MetadataBytes = 0
 		sizing.ReplayEnabled = false
 		phase1 = append(phase1,
 			opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm),
-			opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &sizing, lukewarm))
+			recordOnly(opt, w.Name, sizing))
 	}
-	ms1, err := opt.engine().MeasureFunc(phase1, execRecordOnly)
+	ms1, err := runner.Run(opt.engine(), phase1)
 	if err != nil {
 		return out, err
 	}

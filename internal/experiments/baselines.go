@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/baselines"
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/pif"
 	"lukewarm/internal/runner"
-	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
 )
 
@@ -29,45 +28,60 @@ type BaselinesResult struct {
 // baselineConfigs names the compared schemes, in presentation order.
 var baselineConfigs = []string{"NextLine", "RECAP", "Jukebox"}
 
-// execBaseline executes "baseline-<scheme>" cells, attaching the scheme's
-// prefetcher and reporting its per-instance metadata cost in MetaBytes;
-// untagged cells fall through to the standard executor.
-func execBaseline(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
-	}
-	w, err := suiteByName(c.Workload)
+// comparatorJob is a standard cell with comparator prefetchers attached to
+// the core: a next-line prefetcher of degree nextLine, a RECAP-style
+// restorer and/or PIF (Baselines, Fig13). MetaBytes reports the
+// per-instance metadata cost of RECAP or, failing that, of Jukebox.
+type comparatorJob struct {
+	runner.Cell
+	name     string
+	nextLine int
+	recap    *baselines.RecapConfig
+	pif      *pif.Config
+}
+
+func (j comparatorJob) Label() string { return j.Workload + "/" + j.name }
+
+func (j comparatorJob) Run() (measured, error) {
+	srv, inst, err := j.Deploy()
 	if err != nil {
-		return runner.Measurement{}, err
+		return measured{}, err
 	}
-	switch strings.TrimPrefix(c.Variant, "baseline-") {
-	case "Jukebox":
-		srv := newServer(c.CPU, c.Jukebox, false)
-		inst := srv.Deploy(w)
-		m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
-		if err != nil {
-			return m, err
-		}
-		m.MetaBytes = inst.Jukebox.MetadataFootprintBytes()
-		return m, nil
-	case "NextLine":
-		srv := serverless.New(serverless.Config{CPU: c.CPU})
-		srv.AttachCorePrefetcher(baselines.NewNextLineI(srv.Core.Hier, 1))
-		inst := srv.Deploy(w)
-		return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
-	case "RECAP":
-		srv := serverless.New(serverless.Config{CPU: c.CPU})
-		rc := baselines.NewRecap(baselines.DefaultRecapConfig(), srv.Core.Hier)
+	if j.nextLine > 0 {
+		srv.AttachCorePrefetcher(baselines.NewNextLineI(srv.Core.Hier, j.nextLine))
+	}
+	var rc *baselines.Recap
+	if j.recap != nil {
+		rc = baselines.NewRecap(*j.recap, srv.Core.Hier)
 		srv.AttachCorePrefetcher(rc)
-		inst := srv.Deploy(w)
-		m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
-		if err != nil {
-			return m, err
-		}
-		m.MetaBytes = rc.Stats.LastMetadataBytes
-		return m, nil
 	}
-	return runner.Measurement{}, fmt.Errorf("experiments: unknown baseline variant %q", c.Variant)
+	if j.pif != nil {
+		srv.AttachCorePrefetcher(pif.New(*j.pif, srv.Core.Hier))
+	}
+	m, err := runner.MeasureInstance(srv, inst, j.Mode, j.Warmup, j.Measure, j.Audit)
+	switch {
+	case rc != nil:
+		m.MetaBytes = rc.Stats.LastMetadataBytes
+	case inst.Jukebox != nil:
+		m.MetaBytes = inst.Jukebox.MetadataFootprintBytes()
+	}
+	return m, err
+}
+
+// baselineJob describes one scheme of the comparison on workload w.
+func baselineJob(opt Options, w, scheme string) comparatorJob {
+	j := comparatorJob{Cell: opt.cell(w, cpu.SkylakeConfig(), nil, false, lukewarm), name: "baseline-" + scheme}
+	switch scheme {
+	case "NextLine":
+		j.nextLine = 1
+	case "RECAP":
+		rc := baselines.DefaultRecapConfig()
+		j.recap = &rc
+	case "Jukebox":
+		jb := core.DefaultConfig()
+		j.Jukebox = &jb
+	}
+	return j
 }
 
 // Baselines measures the three schemes across the selected suite on the
@@ -94,19 +108,14 @@ func Baselines(opt Options) (BaselinesResult, error) {
 		return out, err
 	}
 	stride := 1 + len(baselineConfigs)
-	var cells []runner.Cell
+	var jobs []runner.Job[measured]
 	for _, w := range suite {
-		cells = append(cells, opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm))
+		jobs = append(jobs, opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm))
 		for _, cfg := range baselineConfigs {
-			var jb *core.Config
-			if cfg == "Jukebox" {
-				c := core.DefaultConfig()
-				jb = &c
-			}
-			cells = append(cells, opt.variantCell("baseline-"+cfg, w.Name, cpu.SkylakeConfig(), jb, lukewarm))
+			jobs = append(jobs, baselineJob(opt, w.Name, cfg))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execBaseline)
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}

@@ -6,7 +6,6 @@ import (
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/mem"
 	"lukewarm/internal/runner"
-	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
 	"lukewarm/internal/topdown"
 	"lukewarm/internal/workload"
@@ -28,7 +27,28 @@ type Fig1Result struct {
 	Rows      []Fig1Row
 }
 
-// Fig1 runs the IAT sweep. Every (function, IAT) point is one cell: the
+// fig1Job is one (function, IAT) point of Fig. 1: back-to-back warm-up,
+// then measured invocations that each follow an idle gap of iatMs.
+type fig1Job struct {
+	runner.Cell
+	iatMs float64
+}
+
+func (j fig1Job) Label() string { return fmt.Sprintf("%s/iat=%gms", j.Workload, j.iatMs) }
+
+func (j fig1Job) Run() (measured, error) {
+	srv, inst, err := j.Deploy()
+	if err != nil {
+		return measured{}, err
+	}
+	srv.RunReference(inst, j.Warmup+1)
+	return runner.MeasureWindow(srv, inst, j.Measure, func() cpu.RunResult {
+		srv.AdvanceIAT(j.iatMs)
+		return srv.Invoke(inst)
+	}, j.Audit)
+}
+
+// Fig1 runs the IAT sweep. Every (function, IAT) point is one job: the
 // point's server warms up, idles for the gap, and measures independently of
 // every other point, so the sweep parallelizes fully.
 func Fig1(opt Options) (Fig1Result, error) {
@@ -44,34 +64,16 @@ func Fig1(opt Options) (Fig1Result, error) {
 		rows[i] = Fig1Row{IATms: iat, NormCPI: map[string]float64{}}
 	}
 
-	var cells []runner.Cell
-	iatOf := map[string]float64{}
+	var jobs []fig1Job
 	for _, name := range fns {
-		if _, err := workload.ByName(name); err != nil {
-			return res, fmt.Errorf("experiments: %w", err)
+		if _, err := suiteByName(name); err != nil {
+			return res, err
 		}
 		for _, iat := range iats {
-			variant := fmt.Sprintf("fig1-iat=%g", iat)
-			iatOf[variant] = iat
-			cells = append(cells, opt.variantCell(variant, name, cpu.CharacterizationConfig(), nil, reference))
+			jobs = append(jobs, fig1Job{opt.cell(name, cpu.CharacterizationConfig(), nil, false, reference), iat})
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (measured, error) {
-		w, err := workload.ByName(c.Workload)
-		if err != nil {
-			return measured{}, err
-		}
-		srv := serverless.New(serverless.Config{CPU: c.CPU})
-		inst := srv.Deploy(w)
-		srv.RunReference(inst, c.Warmup+1)
-		var m measured
-		for k := 0; k < c.Measure; k++ {
-			r := srv.RunWithIAT(inst, 1, iatOf[c.Variant])
-			m.Instrs += r.Instrs
-			m.Cycles += r.Cycles
-		}
-		return m, nil
-	})
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return res, err
 	}

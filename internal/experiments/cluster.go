@@ -2,18 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/cluster"
 	"lukewarm/internal/core"
-	"lukewarm/internal/cpu"
 	"lukewarm/internal/faults"
 	"lukewarm/internal/program"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/sched"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
-	"lukewarm/internal/workload"
 )
 
 // The cluster experiment takes the paper's single-node story to fleet
@@ -22,8 +19,8 @@ import (
 // cold/lukewarm/warm split of what was actually served (node crashes
 // destroy the warm state and Jukebox metadata the single-node results bank
 // on), retry-inflated tail latency, wasted hedge work, and time spent in
-// brownout tiers. Each sweep point is one runner.Cell with a Variant tag,
-// cached and fanned out like every other experiment.
+// brownout tiers. Each sweep point is one clusterJob, cached and fanned out
+// like every other experiment.
 
 // Cluster-sweep parameters: a few cores per node under brisk traffic so the
 // fleet has queueing to balance, a compressed cold-start charge (as in the
@@ -91,18 +88,44 @@ type ClusterResult struct {
 	Rows []ClusterRow
 }
 
-// clusterSpec describes one cell; the Variant tag is derived from it.
-type clusterSpec struct {
-	nodes  int
-	policy string
-	level  clusterFaultLevel
-	invocs int
+// clusterJob is one fleet run of the sweep. Run completes cfg with the
+// named functions, a fresh fleet placer and, when faultKinds is non-empty,
+// a fault plan seeded with faultSeed.
+type clusterJob struct {
+	funcs      []string
+	cfg        cluster.Config
+	placer     string
+	level      string
+	faultKinds []faults.Kind
+	faultSeed  uint64
+	audit      bool
 }
 
-func (sp clusterSpec) variant() string {
-	return fmt.Sprintf("cluster/%s/%s/nodes=%d/cores=%d/iat=%g/inv=%d/seed=%d/fseed=%d/flake=%g/crash=%g/mtbf=%g",
-		sp.policy, sp.level.name, sp.nodes, clusterCores, float64(clusterIATms),
-		sp.invocs, clusterSeed, clusterFaultSeed, sp.level.flakeProb, sp.level.crashProb, sp.level.mtbfMs)
+func (j clusterJob) Label() string {
+	return fmt.Sprintf("cluster/%s/%s/nodes=%d", j.placer, j.level, j.cfg.Nodes)
+}
+
+func (j clusterJob) Run() (cluster.Summary, error) {
+	cfg := j.cfg
+	ws, err := byNames(j.funcs)
+	if err != nil {
+		return cluster.Summary{}, err
+	}
+	cfg.Workloads = ws
+	cfg.FleetPlacer = newFleetPlacer(j.placer)
+	if len(j.faultKinds) > 0 {
+		cfg.Faults = faults.NewPlan(j.faultSeed, j.faultKinds...)
+	}
+	res, err := cluster.Run(cfg)
+	if err != nil {
+		return cluster.Summary{}, err
+	}
+	if j.audit {
+		if err := cluster.Audit(&res); err != nil {
+			return cluster.Summary{}, fmt.Errorf("%s: %w", j.Label(), err)
+		}
+	}
+	return res.Summary(), nil
 }
 
 // newFleetPlacer builds a fresh fleet placement policy by name.
@@ -113,50 +136,53 @@ func newFleetPlacer(name string) sched.Placer {
 	return sched.EarliestAvailable()
 }
 
-// config builds the cell's fleet configuration with fresh policy and fault
-// state.
-func (sp clusterSpec) config(ws []workload.Workload) cluster.Config {
-	cfg := cluster.Config{
-		Nodes:     sp.nodes,
-		Workloads: ws,
-		Traffic: serverless.TrafficConfig{
-			MeanIATms:              clusterIATms,
-			Poisson:                true,
-			InvocationsPerInstance: sp.invocs,
-			KeepAliveMs:            clusterKeepMs,
-			ColdStartMs:            clusterColdMs,
-			Seed:                   clusterSeed,
-		},
-		FleetPlacer: newFleetPlacer(sp.policy),
-
-		DeadlineMs:      clusterDeadlineMs,
-		RetryMax:        clusterRetryMax,
-		RetryBackoffMs:  clusterBackoffMs,
-		HedgeDelayMinMs: clusterHedgeMinMs,
-		EjectAfter:      clusterEjectAfter,
-		EjectMs:         clusterEjectMs,
-		ShedLowAtMs:     clusterShedLowMs,
-		RecordOnlyAtMs:  clusterRecOnlyMs,
-		RejectAtMs:      clusterRejectMs,
-	}
+// newClusterJob describes one sweep point: the resilience front end fully
+// armed, and every second function low-priority so the tier-1 shed rung
+// has something to drop under brownout.
+func newClusterJob(opt Options, funcs []string, nodes int, policy string, level clusterFaultLevel, invocs int) clusterJob {
 	jb := core.DefaultConfig()
-	cfg.Node = serverless.Config{Cores: clusterCores, Jukebox: &jb}
-	// Every second function is low-priority, so the tier-1 shed rung has
-	// something to drop under brownout.
-	for i, w := range ws {
+	j := clusterJob{
+		funcs: funcs,
+		cfg: cluster.Config{
+			Nodes: nodes,
+			Node:  serverless.Config{Cores: clusterCores, Jukebox: &jb},
+			Traffic: serverless.TrafficConfig{
+				MeanIATms:              clusterIATms,
+				Poisson:                true,
+				InvocationsPerInstance: invocs,
+				KeepAliveMs:            clusterKeepMs,
+				ColdStartMs:            clusterColdMs,
+				Seed:                   clusterSeed,
+			},
+
+			DeadlineMs:      clusterDeadlineMs,
+			RetryMax:        clusterRetryMax,
+			RetryBackoffMs:  clusterBackoffMs,
+			HedgeDelayMinMs: clusterHedgeMinMs,
+			EjectAfter:      clusterEjectAfter,
+			EjectMs:         clusterEjectMs,
+			ShedLowAtMs:     clusterShedLowMs,
+			RecordOnlyAtMs:  clusterRecOnlyMs,
+			RejectAtMs:      clusterRejectMs,
+		},
+		placer: policy,
+		level:  level.name,
+		audit:  opt.Audit,
+	}
+	for i, name := range funcs {
 		if i%2 == 1 {
-			cfg.LowPriority = append(cfg.LowPriority, w.Name)
+			j.cfg.LowPriority = append(j.cfg.LowPriority, name)
 		}
 	}
-	if sp.level.flakeProb > 0 || sp.level.crashProb > 0 || sp.level.mtbfMs > 0 {
-		cfg.Faults = faults.NewPlan(program.Mix(clusterFaultSeed, uint64(sp.nodes)),
-			faults.NodeCrash, faults.InstanceCrash, faults.DispatchFlake)
-		cfg.DispatchFlakeProb = sp.level.flakeProb
-		cfg.InstanceCrashProb = sp.level.crashProb
-		cfg.NodeCrashMTBFms = sp.level.mtbfMs
-		cfg.NodeDownMs = sp.level.downMs
+	if level.flakeProb > 0 || level.crashProb > 0 || level.mtbfMs > 0 {
+		j.faultKinds = []faults.Kind{faults.NodeCrash, faults.InstanceCrash, faults.DispatchFlake}
+		j.faultSeed = program.Mix(clusterFaultSeed, uint64(nodes))
+		j.cfg.DispatchFlakeProb = level.flakeProb
+		j.cfg.InstanceCrashProb = level.crashProb
+		j.cfg.NodeCrashMTBFms = level.mtbfMs
+		j.cfg.NodeDownMs = level.downMs
 	}
-	return cfg
+	return j
 }
 
 // Cluster runs the fleet experiment over the selected suite.
@@ -167,70 +193,23 @@ func Cluster(opt Options) (ClusterResult, error) {
 	if err != nil {
 		return out, err
 	}
-	names := make([]string, len(suite))
-	for i, w := range suite {
-		names[i] = w.Name
-	}
-	suiteTag := strings.Join(names, "+")
+	names := namesOf(suite)
 	invocs := opt.Measure + opt.Warmup
 
-	var specs []clusterSpec
+	var jobs []clusterJob
 	for _, p := range clusterFleetPlacers {
 		for _, lvl := range clusterFaultLevels {
 			for _, n := range clusterNodeCounts {
-				specs = append(specs, clusterSpec{nodes: n, policy: p, level: lvl, invocs: invocs})
+				jobs = append(jobs, newClusterJob(opt, names, n, p, lvl, invocs))
 			}
 		}
 	}
-
-	byVariant := make(map[string]clusterSpec, len(specs))
-	cells := make([]runner.Cell, len(specs))
-	for i, sp := range specs {
-		cells[i] = runner.Cell{
-			Workload: suiteTag,
-			CPU:      cpu.SkylakeConfig(),
-			Mode:     runner.Reference,
-			Warmup:   opt.Warmup,
-			Measure:  opt.Measure,
-			Audit:    opt.Audit,
-			Variant:  sp.variant(),
-		}
-		byVariant[sp.variant()] = sp
-	}
-
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
-		sp := byVariant[c.Variant]
-		var ws []workload.Workload
-		for _, name := range strings.Split(c.Workload, "+") {
-			w, err := workload.ByName(name)
-			if err != nil {
-				return runner.Measurement{}, err
-			}
-			ws = append(ws, w)
-		}
-		res, err := cluster.Run(sp.config(ws))
-		if err != nil {
-			return runner.Measurement{}, err
-		}
-		if c.Audit {
-			if err := cluster.Audit(&res); err != nil {
-				return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
-			}
-		}
-		sum := res.Summary()
-		return runner.Measurement{Cluster: &sum}, nil
-	})
+	sums, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}
-
-	for i, sp := range specs {
-		if ms[i].Cluster == nil {
-			return out, fmt.Errorf("cluster: cell %s returned no fleet summary", sp.variant())
-		}
-		out.Rows = append(out.Rows, ClusterRow{
-			Nodes: sp.nodes, Policy: sp.policy, FaultLevel: sp.level.name, C: *ms[i].Cluster,
-		})
+	for i, j := range jobs {
+		out.Rows = append(out.Rows, ClusterRow{Nodes: j.cfg.Nodes, Policy: j.placer, FaultLevel: j.level, C: sums[i]})
 	}
 	return out, nil
 }

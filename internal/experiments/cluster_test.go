@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"lukewarm/internal/runner"
+	"lukewarm/internal/sched"
 )
 
 // clusterTestOptions keeps the fleet sweep tractable for CI: a small
@@ -101,5 +104,47 @@ func TestClusterTables(t *testing.T) {
 	}
 	if !strings.Contains(tbl, "100.0%") {
 		t.Errorf("sweep table shows no fault-free cell at full availability:\n%s", tbl)
+	}
+}
+
+// TestClusterJobKeyCoversWholeSetup pins the cache's invalidation claim for
+// custom setups: two fleet jobs that differ only in a fault level's down
+// time (which no hand-written tag of the sweep's parameters included) sit
+// at different addresses, and a job holding a value with no canonical
+// rendering is rejected rather than keyed by part of its content.
+func TestClusterJobKeyCoversWholeSetup(t *testing.T) {
+	opt := Options{Audit: true}
+	names := []string{"Auth-G", "Email-P"}
+	level := clusterFaultLevels[1]
+	longer := level
+	longer.downMs *= 2
+	a := newClusterJob(opt, names, 2, "EarliestAvailable", level, 3)
+	b := newClusterJob(opt, names, 2, "EarliestAvailable", longer, 3)
+	ka, err := runner.Key(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := runner.Key(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ka == kb {
+		t.Errorf("jobs with NodeDownMs %g and %g share key %016x", a.cfg.NodeDownMs, b.cfg.NodeDownMs, ka)
+	}
+	if again, _ := runner.Key(newClusterJob(opt, names, 2, "EarliestAvailable", level, 3)); again != ka {
+		t.Error("equal jobs built twice have different keys")
+	}
+
+	withFunc := a
+	withFunc.cfg.NodePlacer = sched.EarliestAvailable
+	if _, err := runner.Key(withFunc); err == nil {
+		t.Error("a job holding a func was keyed")
+	}
+	type withMap struct {
+		clusterJob
+		extra map[string]int
+	}
+	if _, err := runner.Key(withMap{a, map[string]int{"x": 1}}); err == nil {
+		t.Error("a job holding a map was keyed")
 	}
 }

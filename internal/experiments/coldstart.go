@@ -7,7 +7,6 @@ import (
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
-	"lukewarm/internal/faults"
 	"lukewarm/internal/mem"
 	"lukewarm/internal/pif"
 	"lukewarm/internal/reap"
@@ -101,102 +100,90 @@ type StalenessRow struct {
 	WastedPct float64
 }
 
-// coldstartCell tags one (function, mechanism, band) point. Every point is a
-// variant cell: the measurement loop (evict or idle per invocation) is
-// custom, and mechanism configs ride on the cell so they land in the cache
-// key.
-func coldstartCell(opt Options, w string, m ColdstartMech, b coldstartBand) runner.Cell {
-	c := opt.variantCell(fmt.Sprintf("coldstart-%s-%s", m, b.name), w, cpu.SkylakeConfig(), nil, lukewarm)
-	if m == MechJB || m == MechREAPJB {
-		jb := core.DefaultConfig()
-		c.Jukebox = &jb
-	}
-	if m == MechREAP || m == MechREAPJB {
-		rc := reap.DefaultConfig()
-		c.Reap = &rc
-	}
-	return c
+// coldstartJob is one (function, mechanism, band) point: warm up and record
+// lukewarm, then measure invocations that each start from the band's
+// condition — eviction plus a full flush (cold: pages gone, Jukebox
+// metadata gone, REAP manifest survives) or an idle gap (lukewarm: partial
+// thrash, delta restore). The mechanism's Jukebox and REAP configs ride on
+// the cell, PIF's on the job.
+type coldstartJob struct {
+	runner.Cell
+	mech ColdstartMech
+	band coldstartBand
+	pif  *pif.Config
 }
 
-// coldstartBandOf resolves a coldstart variant tag back to its band.
-func coldstartBandOf(variant string) (ColdstartMech, coldstartBand, error) {
-	rest, ok := strings.CutPrefix(variant, "coldstart-")
-	if !ok {
-		return "", coldstartBand{}, fmt.Errorf("experiments: not a coldstart variant %q", variant)
-	}
-	for _, m := range coldstartMechs {
-		for _, b := range coldstartBands {
-			if rest == string(m)+"-"+b.name {
-				return m, b, nil
-			}
-		}
-	}
-	return "", coldstartBand{}, fmt.Errorf("experiments: unknown coldstart variant %q", variant)
+func (j coldstartJob) Label() string {
+	return fmt.Sprintf("%s/coldstart-%s-%s", j.Workload, j.mech, j.band.name)
 }
 
-// execColdstart executes coldstart cells: warm up and record lukewarm, then
-// measure invocations that each start from the band's condition — eviction
-// plus a full flush (cold: pages gone, Jukebox metadata gone, REAP manifest
-// survives) or an idle gap (lukewarm: partial thrash, delta restore).
-func execColdstart(c runner.Cell) (runner.Measurement, error) {
-	if strings.HasPrefix(c.Variant, "coldstart-stale-") {
-		return execColdstartStale(c)
-	}
-	mech, band, err := coldstartBandOf(c.Variant)
+func (j coldstartJob) Run() (measured, error) {
+	srv, inst, err := j.Deploy()
 	if err != nil {
-		return runner.Measurement{}, err
+		return measured{}, err
 	}
-	w, err := suiteByName(c.Workload)
-	if err != nil {
-		return runner.Measurement{}, err
+	if j.pif != nil {
+		srv.AttachCorePrefetcher(pif.New(*j.pif, srv.Core.Hier))
 	}
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
-	if mech == MechPIF {
-		srv.AttachCorePrefetcher(pif.New(pif.DefaultConfig(), srv.Core.Hier))
-	}
-	inst := srv.Deploy(w)
-	srv.RunLukewarm(inst, c.Warmup) // functional warm-up records manifest + metadata
-	return runner.MeasureWindow(srv, inst, c.Measure, func() cpu.RunResult {
-		if band.cold {
+	srv.RunLukewarm(inst, j.Warmup) // functional warm-up records manifest + metadata
+	return runner.MeasureWindow(srv, inst, j.Measure, func() cpu.RunResult {
+		if j.band.cold {
 			inst.Evict()
 			srv.FlushMicroarch()
 		} else {
-			srv.AdvanceIAT(band.iatMs)
+			srv.AdvanceIAT(j.band.iatMs)
 		}
 		return srv.Invoke(inst)
-	}, c.Audit)
+	}, j.Audit)
 }
 
-// execColdstartStale executes one staleness point: freeze the manifest after
-// the first (recorded) invocation of a drifting-allocator workload variant,
-// age it for age-1 lukewarm invocations, and measure the restore before
-// invocation age.
-func execColdstartStale(c runner.Cell) (runner.Measurement, error) {
-	age, err := strconv.Atoi(strings.TrimPrefix(c.Variant, "coldstart-stale-"))
-	if err != nil || age < 1 {
-		return runner.Measurement{}, fmt.Errorf("experiments: bad staleness variant %q", c.Variant)
+// coldstartPoint describes one (function, mechanism, band) point.
+func coldstartPoint(opt Options, w string, m ColdstartMech, b coldstartBand) coldstartJob {
+	j := coldstartJob{Cell: opt.cell(w, cpu.SkylakeConfig(), nil, false, lukewarm), mech: m, band: b}
+	if m == MechJB || m == MechREAPJB {
+		jb := core.DefaultConfig()
+		j.Jukebox = &jb
 	}
-	w, err := suiteByName(c.Workload)
+	if m == MechREAP || m == MechREAPJB {
+		rc := reap.DefaultConfig()
+		j.Reap = &rc
+	}
+	if m == MechPIF {
+		pc := pif.DefaultConfig()
+		j.pif = &pc
+	}
+	return j
+}
+
+// staleJob is one staleness point: freeze the manifest after the first
+// (recorded) invocation of a workload whose allocator slides slideKB per
+// invocation, age it for age-1 lukewarm invocations, and measure the
+// restore before invocation age.
+type staleJob struct {
+	runner.Cell
+	age, slideKB int
+}
+
+func (j staleJob) Label() string { return fmt.Sprintf("%s/coldstart-stale-%d", j.Workload, j.age) }
+
+func (j staleJob) Run() (measured, error) {
+	w, err := suiteByName(j.Workload)
 	if err != nil {
-		return runner.Measurement{}, err
+		return measured{}, err
 	}
-	w = workload.WithChurnSlide(w, coldstartStaleSlideKB)
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Reap: c.Reap})
-	inst := srv.Deploy(w)
+	srv := serverless.New(serverless.Config{CPU: j.CPU, Reap: j.Reap})
+	inst := srv.Deploy(workload.WithChurnSlide(w, j.slideKB))
 	srv.RunLukewarm(inst, 1) // record invocation 0, then freeze
 	inst.Reap.SetRecordEnabled(false)
-	srv.RunLukewarm(inst, age-1)
+	srv.RunLukewarm(inst, j.age-1)
 	inst.Reap.ResetStats()
 	res := srv.RunLukewarm(inst, 1)
-	var out runner.Measurement
-	out.Instrs, out.Cycles, out.FirstInvCycles = res.Instrs, res.Cycles, res.Cycles
-	out.Reap = inst.Reap.Stats
-	if c.Audit {
-		if err := faults.AuditReap(out.Reap); err != nil {
-			return out, fmt.Errorf("%s: %w", c.Label(), err)
+	if j.Audit {
+		if err := auditInvocation(inst, res); err != nil {
+			return measured{}, err
 		}
 	}
-	return out, nil
+	return measured{Instrs: res.Instrs, Cycles: res.Cycles, FirstInvCycles: res.Cycles, Reap: inst.Reap.Stats}, nil
 }
 
 // Coldstart runs the cold-start comparator (see DESIGN.md Sec. 11): REAP's
@@ -223,24 +210,23 @@ func Coldstart(opt Options) (ColdstartResult, error) {
 	for _, b := range coldstartBands {
 		out.Bands = append(out.Bands, b.name)
 	}
-	var cells []runner.Cell
+	var jobs []runner.Job[measured]
 	for _, b := range coldstartBands {
 		for _, m := range coldstartMechs {
 			for _, fn := range fns {
-				cells = append(cells, coldstartCell(opt, fn, m, b))
+				jobs = append(jobs, coldstartPoint(opt, fn, m, b))
 			}
 		}
 	}
-	staleStart := len(cells)
+	staleStart := len(jobs)
 	for _, age := range coldstartStaleAges {
 		for _, fn := range fns {
-			c := opt.variantCell(fmt.Sprintf("coldstart-stale-%d", age), fn, cpu.SkylakeConfig(), nil, lukewarm)
 			rc := reap.DefaultConfig()
-			c.Reap = &rc
-			cells = append(cells, c)
+			c := runner.Cell{Workload: fn, CPU: cpu.SkylakeConfig(), Reap: &rc, Audit: opt.Audit}
+			jobs = append(jobs, staleJob{c, age, coldstartStaleSlideKB})
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execColdstart)
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}

@@ -1,10 +1,12 @@
 // Package experiments contains one runner per figure and table of the
 // paper's evaluation (see DESIGN.md's per-experiment index). Each runner
-// describes its measurements as independent simulation cells and submits
-// them to the execution engine (internal/runner), which fans them out across
-// a worker pool and memoizes results by content. The registry (Registry)
-// lists every experiment once; the cmd/lukewarm binary, the golden harness,
-// the facade and the repository's benchmarks all iterate it.
+// describes its measurements as independent jobs — standard runner.Cells,
+// or a small job type per custom setup whose fields are everything its Run
+// reads — and submits them to the execution engine (internal/runner), which
+// fans them out across a worker pool and memoizes results by content. The
+// registry (Registry) lists every experiment once; the cmd/lukewarm binary,
+// the golden harness, the facade and the repository's benchmarks all
+// iterate it.
 package experiments
 
 import (
@@ -12,6 +14,7 @@ import (
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/faults"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/workload"
@@ -81,28 +84,63 @@ func (o Options) cell(w string, cfg cpu.Config, jb *core.Config, perfect bool, m
 	}
 }
 
-// variantCell is cell with a custom-executor tag (see runner.Cell.Variant).
-func (o Options) variantCell(variant, w string, cfg cpu.Config, jb *core.Config, md mode) runner.Cell {
-	c := o.cell(w, cfg, jb, false, md)
-	c.Variant = variant
-	return c
-}
-
 // suite resolves the selected workloads, erroring on unknown names.
 func (o Options) suite() ([]workload.Workload, error) {
-	all := workload.Suite()
 	if len(o.Functions) == 0 {
-		return all, nil
+		return workload.Suite(), nil
 	}
-	var out []workload.Workload
-	for _, name := range o.Functions {
-		w, err := workload.ByName(name)
+	return byNames(o.Functions)
+}
+
+// byNames resolves function names to workloads.
+func byNames(names []string) ([]workload.Workload, error) {
+	ws := make([]workload.Workload, len(names))
+	for i, name := range names {
+		w, err := suiteByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
+			return nil, err
 		}
-		out = append(out, w)
+		ws[i] = w
 	}
-	return out, nil
+	return ws, nil
+}
+
+// namesOf lists the workloads' names.
+func namesOf(ws []workload.Workload) []string {
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name
+	}
+	return names
+}
+
+// deployAll builds a server from cfg and deploys the named functions on it.
+func deployAll(cfg serverless.Config, names []string) (*serverless.Server, error) {
+	ws, err := byNames(names)
+	if err != nil {
+		return nil, err
+	}
+	srv := serverless.New(cfg)
+	for _, w := range ws {
+		srv.Deploy(w)
+	}
+	return srv, nil
+}
+
+// auditInvocation checks one invocation and inst's Jukebox and REAP
+// ledgers against the faults package's invariants.
+func auditInvocation(inst *serverless.Instance, res cpu.RunResult) error {
+	err := faults.Audit(res)
+	if err == nil && inst.Jukebox != nil {
+		err = faults.AuditJukebox(inst.Jukebox.Stats)
+	}
+	if err == nil && inst.Reap != nil {
+		err = faults.AuditReap(inst.Reap.Stats)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", inst.Workload.Name, err)
+	}
+	return nil
 }
 
 // mode selects the execution regime of a measurement (see runner.Mode).
@@ -118,8 +156,3 @@ const (
 
 // measured aggregates one measurement window (see runner.Measurement).
 type measured = runner.Measurement
-
-// newServer builds a single-purpose server for one measurement.
-func newServer(cfg cpu.Config, jb *core.Config, perfect bool) *serverless.Server {
-	return serverless.New(serverless.Config{CPU: cfg, Jukebox: jb, PerfectICache: perfect})
-}

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/pif"
 	"lukewarm/internal/runner"
-	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
 	"lukewarm/internal/workload"
 )
@@ -34,47 +32,25 @@ type Fig13Result struct {
 	SpeedupPct map[PIFConfig]map[string]float64
 }
 
-// pifCell describes one workload under one Fig. 13 configuration. Baseline
+// pifJob describes one workload under one Fig. 13 configuration. Baseline
 // and plain-Jukebox configurations are standard cells — they hit the same
 // cache entries as Fig. 10's baseline and Jukebox measurements — while the
-// PIF-attaching configurations carry a "fig13-" variant tag and run through
-// execPIF.
-func pifCell(opt Options, w string, cfg PIFConfig) runner.Cell {
+// PIF-attaching configurations are comparator jobs.
+func pifJob(opt Options, w string, cfg PIFConfig) runner.Job[measured] {
 	var jb *core.Config
 	if cfg == CfgJukebox || cfg == CfgJBPIFIdeal {
 		c := core.DefaultConfig()
 		jb = &c
 	}
-	switch cfg {
-	case CfgBaseline, CfgJukebox:
-		return opt.cell(w, cpu.SkylakeConfig(), jb, false, lukewarm)
-	default:
-		return opt.variantCell("fig13-"+string(cfg), w, cpu.SkylakeConfig(), jb, lukewarm)
+	c := opt.cell(w, cpu.SkylakeConfig(), jb, false, lukewarm)
+	if cfg == CfgBaseline || cfg == CfgJukebox {
+		return c
 	}
-}
-
-// execPIF executes Fig. 13 cells, attaching the tagged PIF prefetcher before
-// measuring; untagged cells fall through to the standard executor.
-func execPIF(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
+	pc := pif.IdealConfig()
+	if cfg == CfgPIF {
+		pc = pif.DefaultConfig()
 	}
-	cfg := PIFConfig(strings.TrimPrefix(c.Variant, "fig13-"))
-	w, err := suiteByName(c.Workload)
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox})
-	switch cfg {
-	case CfgPIF:
-		srv.AttachCorePrefetcher(pif.New(pif.DefaultConfig(), srv.Core.Hier))
-	case CfgPIFIdeal, CfgJBPIFIdeal:
-		srv.AttachCorePrefetcher(pif.New(pif.IdealConfig(), srv.Core.Hier))
-	default:
-		return runner.Measurement{}, fmt.Errorf("experiments: unknown fig13 variant %q", c.Variant)
-	}
-	inst := srv.Deploy(w)
-	return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+	return comparatorJob{Cell: c, name: "fig13-" + string(cfg), pif: &pc}
 }
 
 // Fig13 compares Jukebox against PIF and PIF-ideal, alone and combined, on
@@ -90,16 +66,16 @@ func Fig13(opt Options) (Fig13Result, error) {
 	if err != nil {
 		return out, err
 	}
-	var cells []runner.Cell
+	var jobs []runner.Job[measured]
 	for _, w := range suite {
-		cells = append(cells, pifCell(opt, w.Name, CfgBaseline))
+		jobs = append(jobs, pifJob(opt, w.Name, CfgBaseline))
 	}
 	for _, cfg := range out.Configs {
 		for _, w := range suite {
-			cells = append(cells, pifCell(opt, w.Name, cfg))
+			jobs = append(jobs, pifJob(opt, w.Name, cfg))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execPIF)
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}

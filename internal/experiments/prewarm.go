@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
-	"lukewarm/internal/faults"
 	"lukewarm/internal/predict"
 	"lukewarm/internal/reap"
 	"lukewarm/internal/runner"
@@ -85,111 +85,55 @@ type PrewarmResult struct {
 	WarmCPI float64
 }
 
-// prewarmVariant tags one traffic cell; fc is "bare" for the baseline.
-func prewarmVariant(shape sched.ShapeKind, fc string, leadMs float64, invocs int) string {
-	return fmt.Sprintf("prewarm/%s/%s/lead=%g/cores=%d/iat=%d/inv=%d/seed=%d/sync",
-		shape, fc, leadMs, prewarmCores, prewarmIATms, invocs, prewarmSeed)
+// prewarmJob describes one sweep point over funcs; fc is "" for the bare
+// (replay-at-dispatch) baseline.
+func prewarmJob(opt Options, funcs []string, shape sched.ShapeKind, fc string, leadMs float64, invocs int) trafficJob {
+	jb := core.DefaultConfig()
+	rc := reap.DefaultConfig()
+	j := trafficJob{
+		name:   fmt.Sprintf("prewarm/%s/%s/lead=%g", shape, cmp.Or(fc, "bare"), leadMs),
+		funcs:  funcs,
+		server: serverless.Config{CPU: cpu.SkylakeConfig(), Cores: prewarmCores, Jukebox: &jb, Reap: &rc},
+		traffic: serverless.TrafficConfig{
+			MeanIATms:              prewarmIATms,
+			InvocationsPerInstance: invocs,
+			NoKeepAlive:            true,
+			AmbientThrash:          true,
+			// Production restore semantics: dispatch-time replay blocks the
+			// invocation, so every cell — the bare baseline included — pays
+			// its restore on the critical path unless a timely pre-warm
+			// already ran it. This is the cost axis the forecaster competes
+			// on.
+			SyncReplay: true,
+			Diurnal:    shape == sched.Diurnal,
+			Bursty:     shape == sched.Bursty,
+			HeavyTail:  shape == sched.HeavyTail,
+			Poisson:    shape == sched.Poisson,
+			Seed:       prewarmSeed,
+		},
+		forecaster: fc,
+		audit:      opt.Audit,
+	}
+	if fc != "" {
+		j.traffic.Predict = &predict.Config{LeadMs: leadMs}
+	}
+	return j
 }
 
-// prewarmSpec resolves a variant tag back to its sweep point.
-type prewarmSpec struct {
-	shape  sched.ShapeKind
-	fc     string
-	leadMs float64
-	invocs int
-}
-
-// traffic builds the cell's traffic configuration with fresh forecaster
-// state.
-func (sp prewarmSpec) traffic(names []string) serverless.TrafficConfig {
-	cfg := serverless.TrafficConfig{
-		MeanIATms:              prewarmIATms,
-		InvocationsPerInstance: sp.invocs,
-		NoKeepAlive:            true,
-		AmbientThrash:          true,
-		// Production restore semantics: dispatch-time replay blocks the
-		// invocation, so every cell — the bare baseline included — pays its
-		// restore on the critical path unless a timely pre-warm already ran
-		// it. This is the cost axis the forecaster competes on.
-		SyncReplay: true,
-		Seed:       prewarmSeed,
-	}
-	switch sp.shape {
-	case sched.Diurnal:
-		cfg.Diurnal = true
-	case sched.Bursty:
-		cfg.Bursty = true
-	case sched.HeavyTail:
-		cfg.HeavyTail = true
-	case sched.Poisson:
-		cfg.Poisson = true
-	}
-	if sp.fc != "bare" {
-		cfg.Predict = &predict.Config{
-			Forecaster: predict.NewForecaster(sp.fc),
-			LeadMs:     sp.leadMs,
-			MechFor:    prewarmMechFor(names),
-		}
-	}
-	return cfg
-}
-
-// execPrewarm executes one traffic cell of the sweep.
-func execPrewarm(c runner.Cell, sp prewarmSpec) (runner.Measurement, error) {
-	srv := serverless.New(serverless.Config{
-		CPU: c.CPU, Cores: prewarmCores, Jukebox: c.Jukebox, Reap: c.Reap,
-	})
-	names := strings.Split(c.Workload, "+")
-	for _, name := range names {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return runner.Measurement{}, err
-		}
-		srv.Deploy(w)
-	}
-	res, err := srv.ServeTraffic(sp.traffic(names))
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	if c.Audit {
-		if err := faults.AuditTraffic(res); err != nil {
-			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
-		}
-		fc := sp.fc
-		if fc == "bare" {
-			fc = ""
-		}
-		if err := faults.AuditPredict(res.Prewarm, fc); err != nil {
-			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
-		}
-	}
-	sum := res.Summary()
-	return runner.Measurement{Traffic: &sum}, nil
-}
-
-// execPrewarmWarm executes one warm-reference cell: back-to-back
-// invocations of a single function with nothing disturbed, no mechanisms —
+// prewarmWarmJob is one warm-reference point: back-to-back invocations of a
+// single function after lukewarm warm-up, nothing disturbed, no mechanisms —
 // the readiness ceiling every pre-warm chases.
-func execPrewarmWarm(c runner.Cell) (runner.Measurement, error) {
-	w, err := workload.ByName(c.Workload)
+type prewarmWarmJob struct{ runner.Cell }
+
+func (j prewarmWarmJob) Label() string { return j.Workload + "/prewarm-warm" }
+
+func (j prewarmWarmJob) Run() (measured, error) {
+	srv, inst, err := j.Deploy()
 	if err != nil {
-		return runner.Measurement{}, err
+		return measured{}, err
 	}
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: 1})
-	inst := srv.Deploy(w)
-	srv.RunLukewarm(inst, c.Warmup)
-	var out runner.Measurement
-	for i := 0; i < c.Measure; i++ {
-		res := srv.Invoke(inst)
-		if c.Audit {
-			if err := faults.Audit(res); err != nil {
-				return out, fmt.Errorf("%s invocation %d: %w", c.Label(), i, err)
-			}
-		}
-		out.Instrs += res.Instrs
-		out.Cycles += res.Cycles
-	}
-	return out, nil
+	srv.RunLukewarm(inst, j.Warmup)
+	return runner.MeasureWindow(srv, inst, j.Measure, func() cpu.RunResult { return srv.Invoke(inst) }, j.Audit)
 }
 
 // Prewarm runs the predictive pre-warm experiment (see DESIGN.md Sec. 12):
@@ -203,7 +147,6 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 		fns = workload.Representatives()
 	}
 	out := PrewarmResult{Functions: fns}
-	suiteTag := strings.Join(fns, "+")
 
 	// The histogram forecaster needs DefaultMinSamples observed gaps per
 	// function before it predicts at all; give every run enough arrivals to
@@ -213,55 +156,37 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 		invocs = 16
 	}
 
-	var specs []prewarmSpec
+	var jobs []trafficJob
 	for _, shape := range prewarmShapes {
-		specs = append(specs, prewarmSpec{shape: shape, fc: "bare", invocs: invocs})
+		jobs = append(jobs, prewarmJob(opt, fns, shape, "", 0, invocs))
 		for _, fc := range prewarmForecasters {
 			for _, lead := range prewarmLeads {
-				specs = append(specs, prewarmSpec{shape: shape, fc: fc, leadMs: lead, invocs: invocs})
+				jobs = append(jobs, prewarmJob(opt, fns, shape, fc, lead, invocs))
 			}
 		}
 	}
-
-	byVariant := make(map[string]prewarmSpec, len(specs))
-	var cells []runner.Cell
-	for _, sp := range specs {
-		jb := core.DefaultConfig()
-		rc := reap.DefaultConfig()
-		c := opt.variantCell(prewarmVariant(sp.shape, sp.fc, sp.leadMs, sp.invocs),
-			suiteTag, cpu.SkylakeConfig(), nil, lukewarm)
-		c.Jukebox = &jb
-		c.Reap = &rc
-		cells = append(cells, c)
-		byVariant[c.Variant] = sp
-	}
-	warmStart := len(cells)
-	for _, fn := range fns {
-		cells = append(cells, opt.variantCell("prewarm-warm", fn, cpu.SkylakeConfig(), nil, reference))
-	}
-
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
-		if c.Variant == "prewarm-warm" {
-			return execPrewarmWarm(c)
-		}
-		return execPrewarm(c, byVariant[c.Variant])
-	})
+	ts, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}
-
-	for i, sp := range specs {
-		if ms[i].Traffic == nil {
-			return out, fmt.Errorf("prewarm: cell %s returned no traffic summary", cells[i].Variant)
+	for i, j := range jobs {
+		row := PrewarmRow{Shape: j.traffic.Shape().Kind.String(), Forecaster: "bare", T: ts[i]}
+		if j.traffic.Predict != nil {
+			row.Forecaster, row.LeadMs = j.forecaster, j.traffic.Predict.LeadMs
 		}
-		out.Rows = append(out.Rows, PrewarmRow{
-			Shape: sp.shape.String(), Forecaster: sp.fc, LeadMs: sp.leadMs,
-			T: *ms[i].Traffic,
-		})
+		out.Rows = append(out.Rows, row)
+	}
+
+	var warmJobs []prewarmWarmJob
+	for _, fn := range fns {
+		warmJobs = append(warmJobs, prewarmWarmJob{opt.cell(fn, cpu.SkylakeConfig(), nil, false, reference)})
+	}
+	ms, err := runner.Run(opt.engine(), warmJobs)
+	if err != nil {
+		return out, err
 	}
 	var warm []float64
-	for i := range fns {
-		m := ms[warmStart+i]
+	for _, m := range ms {
 		if m.Instrs > 0 {
 			warm = append(warm, float64(m.Cycles)/float64(m.Instrs))
 		}

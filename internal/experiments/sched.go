@@ -2,16 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/faults"
+	"lukewarm/internal/predict"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/sched"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
-	"lukewarm/internal/workload"
 )
 
 // The scheduling experiment asks the system-level question the paper's
@@ -27,9 +26,9 @@ import (
 //     instance-memory budget each policy spends (à la Shahrad et al.,
 //     ATC'20).
 //
-// Every (shape, policy) pair is one runner.Cell with a Variant tag, so the
-// whole sweep fans out across the engine's worker pool and memoizes in the
-// content-addressed result cache like every other experiment.
+// Every (shape, policy) pair is one trafficJob, so the whole sweep fans out
+// across the engine's worker pool and memoizes in the content-addressed
+// result cache like every other experiment.
 
 // Placement-sweep parameters: a host with roughly one core per co-resident
 // function (the suite's 20 functions on 16 cores) under busy traffic, with
@@ -90,15 +89,16 @@ func newPlacer(name string) sched.Placer {
 	return sched.EarliestAvailable()
 }
 
-// newKeepAlive builds a fresh (learning) keep-alive policy by name.
-func newKeepAlive(name string) sched.KeepAlive {
+// newKeepAlive builds a fresh (learning) keep-alive policy by name; fixMs
+// is the fixed timeout and the histogram policy's fallback.
+func newKeepAlive(name string, fixMs float64) sched.KeepAlive {
 	switch name {
 	case "HybridHistogram":
-		return sched.HybridHistogram(sched.HybridConfig{FallbackMs: schedKAFixMs})
+		return sched.HybridHistogram(sched.HybridConfig{FallbackMs: fixMs})
 	case "NoEvict":
 		return sched.NoEvict()
 	}
-	return sched.FixedTimeout(schedKAFixMs)
+	return sched.FixedTimeout(fixMs)
 }
 
 // SchedRow is one (traffic shape, policy) cell of a sweep.
@@ -120,56 +120,59 @@ type SchedResult struct {
 	KeepAlive []SchedRow
 }
 
-// schedSpec describes one cell's traffic setup; the Variant tag is derived
-// from it, so content-identical cells share a cache address and any
-// parameter change lands elsewhere.
-type schedSpec struct {
-	sweep  string // "place" or "keepalive"
-	shape  sched.ShapeKind
-	policy string
-	invocs int
+// trafficJob is one whole-server traffic run of the sched and prewarm
+// sweeps: the named functions deployed on a server built from server and
+// served under traffic. Stateful policies are built fresh from their names —
+// a placer, a keep-alive policy with timeout keepAliveFixMs and, when
+// traffic.Predict carries pre-warm parameters, a forecaster with the
+// suite's pre-warm mechanism assignment; an unnamed policy is left to the
+// traffic engine.
+type trafficJob struct {
+	name           string
+	funcs          []string
+	server         serverless.Config
+	traffic        serverless.TrafficConfig
+	placer         string
+	keepAlive      string
+	keepAliveFixMs float64
+	forecaster     string
+	audit          bool
 }
 
-func (sp schedSpec) variant() string {
-	switch sp.sweep {
-	case "place":
-		return fmt.Sprintf("sched/place/%s/%s/cores=%d/iat=%g/shed=%g/keep=%g/inv=%d/seed=%d",
-			sp.shape, sp.policy, schedPlaceCores, float64(schedPlaceIATms),
-			float64(schedPlaceShedMs), float64(schedPlaceKeepMs), sp.invocs, schedPlaceSeed)
-	default:
-		return fmt.Sprintf("sched/keepalive/%s/%s/cores=%d/iat=%g/fix=%g/cold=%g/inv=%d/seed=%d",
-			sp.shape, sp.policy, schedKACores, float64(schedKAIATms),
-			float64(schedKAFixMs), float64(schedKAColdMs), sp.invocs, schedKASeed)
-	}
-}
+func (j trafficJob) Label() string { return j.name }
 
-// traffic builds the cell's traffic configuration with fresh policy state.
-func (sp schedSpec) traffic() serverless.TrafficConfig {
-	cfg := serverless.TrafficConfig{
-		InvocationsPerInstance: sp.invocs,
+func (j trafficJob) Run() (serverless.TrafficSummary, error) {
+	srv, err := deployAll(j.server, j.funcs)
+	if err != nil {
+		return serverless.TrafficSummary{}, err
 	}
-	switch sp.shape {
-	case sched.Diurnal:
-		cfg.Diurnal = true
-	case sched.HeavyTail:
-		cfg.HeavyTail = true
-	case sched.Poisson:
-		cfg.Poisson = true
+	cfg := j.traffic
+	if j.placer != "" {
+		cfg.Placer = newPlacer(j.placer)
 	}
-	if sp.sweep == "place" {
-		cfg.MeanIATms = schedPlaceIATms
-		cfg.ShedAfterMs = schedPlaceShedMs
-		cfg.KeepAliveMs = schedPlaceKeepMs
-		cfg.ColdStartMs = 250
-		cfg.Placer = newPlacer(sp.policy)
-		cfg.Seed = schedPlaceSeed
-	} else {
-		cfg.MeanIATms = schedKAIATms
-		cfg.ColdStartMs = schedKAColdMs
-		cfg.KeepAlive = newKeepAlive(sp.policy)
-		cfg.Seed = schedKASeed
+	if j.keepAlive != "" {
+		cfg.KeepAlive = newKeepAlive(j.keepAlive, j.keepAliveFixMs)
 	}
-	return cfg
+	if cfg.Predict != nil {
+		pc := *cfg.Predict
+		pc.Forecaster = predict.NewForecaster(j.forecaster)
+		pc.MechFor = prewarmMechFor(j.funcs)
+		cfg.Predict = &pc
+	}
+	res, err := srv.ServeTraffic(cfg)
+	if err != nil {
+		return serverless.TrafficSummary{}, err
+	}
+	if j.audit {
+		err = faults.AuditTraffic(res)
+		if err == nil {
+			err = faults.AuditPredict(res.Prewarm, j.forecaster)
+		}
+		if err != nil {
+			return serverless.TrafficSummary{}, fmt.Errorf("%s: %w", j.name, err)
+		}
+	}
+	return res.Summary(), nil
 }
 
 // Sched runs the scheduling-policy experiment over the selected suite.
@@ -180,11 +183,7 @@ func Sched(opt Options) (SchedResult, error) {
 	if err != nil {
 		return out, err
 	}
-	names := make([]string, len(suite))
-	for i, w := range suite {
-		names[i] = w.Name
-	}
-	suiteTag := strings.Join(names, "+")
+	names := namesOf(suite)
 
 	placeInvocs := opt.Measure + opt.Warmup
 	// The hybrid policy needs a few observed gaps per function before its
@@ -195,76 +194,57 @@ func Sched(opt Options) (SchedResult, error) {
 		kaInvocs = 8
 	}
 
-	var specs []schedSpec
+	job := func(shape sched.ShapeKind, policy string) trafficJob {
+		return trafficJob{
+			name:   fmt.Sprintf("sched/%s/%s", shape, policy),
+			funcs:  names,
+			server: serverless.Config{CPU: cpu.SkylakeConfig()},
+			traffic: serverless.TrafficConfig{
+				Diurnal:   shape == sched.Diurnal,
+				HeavyTail: shape == sched.HeavyTail,
+				Poisson:   shape == sched.Poisson,
+			},
+			audit: opt.Audit,
+		}
+	}
+	var jobs []trafficJob
 	for _, shape := range schedShapes {
 		for _, p := range schedPlacers {
-			specs = append(specs, schedSpec{sweep: "place", shape: shape, policy: p, invocs: placeInvocs})
+			j := job(shape, p)
+			// The placement sweep runs with Jukebox so metadata locality is
+			// a live axis; the keep-alive sweep isolates eviction policy.
+			jb := core.DefaultConfig()
+			j.server.Cores, j.server.Jukebox = schedPlaceCores, &jb
+			j.traffic.MeanIATms = schedPlaceIATms
+			j.traffic.InvocationsPerInstance = placeInvocs
+			j.traffic.ShedAfterMs = schedPlaceShedMs
+			j.traffic.KeepAliveMs = schedPlaceKeepMs
+			j.traffic.ColdStartMs = 250
+			j.traffic.Seed = schedPlaceSeed
+			j.placer = p
+			jobs = append(jobs, j)
 		}
 	}
 	for _, shape := range schedShapes {
 		for _, ka := range schedKeepAlives {
-			specs = append(specs, schedSpec{sweep: "keepalive", shape: shape, policy: ka, invocs: kaInvocs})
+			j := job(shape, ka)
+			j.server.Cores = schedKACores
+			j.traffic.MeanIATms = schedKAIATms
+			j.traffic.InvocationsPerInstance = kaInvocs
+			j.traffic.ColdStartMs = schedKAColdMs
+			j.traffic.Seed = schedKASeed
+			j.keepAlive, j.keepAliveFixMs = ka, schedKAFixMs
+			jobs = append(jobs, j)
 		}
 	}
 
-	byVariant := make(map[string]schedSpec, len(specs))
-	cells := make([]runner.Cell, len(specs))
-	for i, sp := range specs {
-		jbCfg := core.DefaultConfig()
-		c := runner.Cell{
-			Workload: suiteTag,
-			CPU:      cpu.SkylakeConfig(),
-			Mode:     runner.Reference,
-			Warmup:   opt.Warmup,
-			Measure:  opt.Measure,
-			Audit:    opt.Audit,
-			Variant:  sp.variant(),
-		}
-		// The placement sweep runs with Jukebox so metadata locality is a
-		// live axis; the keep-alive sweep isolates eviction policy.
-		if sp.sweep == "place" {
-			c.Jukebox = &jbCfg
-		}
-		cells[i] = c
-		byVariant[sp.variant()] = sp
-	}
-
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
-		sp := byVariant[c.Variant]
-		cores := schedKACores
-		if sp.sweep == "place" {
-			cores = schedPlaceCores
-		}
-		srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: cores, Jukebox: c.Jukebox})
-		for _, name := range strings.Split(c.Workload, "+") {
-			w, err := workload.ByName(name)
-			if err != nil {
-				return runner.Measurement{}, err
-			}
-			srv.Deploy(w)
-		}
-		res, err := srv.ServeTraffic(sp.traffic())
-		if err != nil {
-			return runner.Measurement{}, err
-		}
-		if c.Audit {
-			if err := faults.AuditTraffic(res); err != nil {
-				return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
-			}
-		}
-		sum := res.Summary()
-		return runner.Measurement{Traffic: &sum}, nil
-	})
+	ts, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}
-
-	for i, sp := range specs {
-		if ms[i].Traffic == nil {
-			return out, fmt.Errorf("sched: cell %s returned no traffic summary", sp.variant())
-		}
-		row := SchedRow{Shape: sp.shape.String(), Policy: sp.policy, T: *ms[i].Traffic}
-		if sp.sweep == "place" {
+	for i, j := range jobs {
+		row := SchedRow{Shape: j.traffic.Shape().Kind.String(), Policy: j.placer + j.keepAlive, T: ts[i]}
+		if j.placer != "" {
 			out.Placement = append(out.Placement, row)
 		} else {
 			out.KeepAlive = append(out.KeepAlive, row)

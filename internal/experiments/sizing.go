@@ -23,25 +23,32 @@ func recordJB(regionBytes, crrbEntries int) core.Config {
 	}
 }
 
-// execRecordOnly executes a "fig8-record" cell: one lukewarm invocation with
-// a record-only Jukebox, reporting the recorded metadata size in MetaBytes.
-// Fig8 and CRRBAblation share this executor, so overlapping sweep points
-// (e.g. CRRB=16 at 1 KB regions) are simulated once.
-func execRecordOnly(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
-	}
-	w, err := suiteByName(c.Workload)
+// recordJob measures the metadata a record-only Jukebox needs for one
+// lukewarm invocation, reported in MetaBytes. Fig8, CRRBAblation and
+// DynamicMetadata share it, so overlapping sweep points (e.g. CRRB=16 at
+// 1 KB regions) are simulated once.
+type recordJob struct{ runner.Cell }
+
+func (j recordJob) Label() string { return j.Workload + "/record" }
+
+func (j recordJob) Run() (measured, error) {
+	srv, inst, err := j.Deploy()
 	if err != nil {
-		return runner.Measurement{}, err
+		return measured{}, err
 	}
-	srv := newServer(c.CPU, c.Jukebox, false)
-	inst := srv.Deploy(w)
-	srv.RunLukewarm(inst, 1)
-	return runner.Measurement{
-		JB:        inst.Jukebox.Stats,
-		MetaBytes: inst.Jukebox.Stats.LastRecordBytes,
-	}, nil
+	srv.FlushMicroarch()
+	res := srv.Invoke(inst)
+	if j.Audit {
+		if err := auditInvocation(inst, res); err != nil {
+			return measured{}, err
+		}
+	}
+	return measured{JB: inst.Jukebox.Stats, MetaBytes: inst.Jukebox.Stats.LastRecordBytes}, nil
+}
+
+// recordOnly describes one record-only measurement with Jukebox config jb.
+func recordOnly(opt Options, w string, jb core.Config) recordJob {
+	return recordJob{runner.Cell{Workload: w, CPU: cpu.SkylakeConfig(), Jukebox: &jb, Audit: opt.Audit}}
 }
 
 // Fig8Row is one function's metadata-size curve across region sizes.
@@ -73,14 +80,13 @@ func Fig8(opt Options) (Fig8Result, error) {
 	if err != nil {
 		return out, err
 	}
-	var cells []runner.Cell
+	var jobs []recordJob
 	for _, w := range suite {
 		for _, rs := range regions {
-			jb := recordJB(rs, fig8CRRBEntries)
-			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm))
+			jobs = append(jobs, recordOnly(opt, w.Name, recordJB(rs, fig8CRRBEntries)))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execRecordOnly)
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}
@@ -152,14 +158,13 @@ func CRRBAblation(opt Options) (CRRBAblationResult, error) {
 	if err != nil {
 		return out, err
 	}
-	var cells []runner.Cell
+	var jobs []recordJob
 	for _, n := range out.Sizes {
 		for _, w := range suite {
-			jb := recordJB(1024, n)
-			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm))
+			jobs = append(jobs, recordOnly(opt, w.Name, recordJB(1024, n)))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execRecordOnly)
+	ms, err := runner.Run(opt.engine(), jobs)
 	if err != nil {
 		return out, err
 	}

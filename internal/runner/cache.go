@@ -9,74 +9,81 @@ import (
 	"sync"
 )
 
-// Cache is the two-tier content-addressed result store. The in-memory tier
-// is always on: within one process, any two experiments that submit the same
-// cell share one simulation. The on-disk tier (one gob file per key) is
-// optional and makes repeated runs of the same figure start warm across
-// processes.
+// cache is the two-tier content-addressed result store. The in-memory tier
+// is always on and holds any result type: within one process, any two
+// experiments that submit the same job share one run. The on-disk tier (one
+// gob file of the job's concrete result type per key) is optional and makes
+// repeated runs of the same figure start warm across processes.
 //
-// There is no explicit invalidation: keys embed SchemaVersion and every
-// config field (see Cell.Key), so entries written under a different schema
-// or configuration are simply never looked up again. Undecodable disk
-// entries — a torn write, a foreign file — are treated as misses and
-// removed.
-type Cache struct {
+// There is no explicit invalidation: keys embed SchemaVersion, the job type
+// and its whole content (see Key), so entries written under a different
+// schema or configuration are simply never looked up again. A key fixes
+// its job type and so its result type. Undecodable disk entries — a torn
+// write, a foreign file — are treated as misses and removed.
+type cache struct {
 	mu  sync.Mutex
-	mem map[uint64]Measurement
+	mem map[uint64]any
 	dir string // empty: memory tier only
 }
 
-// NewCache builds a cache; dir == "" selects the memory tier only. The
+// newCache builds a cache; dir == "" selects the memory tier only. The
 // directory is created if missing.
-func NewCache(dir string) (*Cache, error) {
+func newCache(dir string) (*cache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("runner: cache dir: %w", err)
 		}
 	}
-	return &Cache{mem: map[uint64]Measurement{}, dir: dir}, nil
+	return &cache{mem: map[uint64]any{}, dir: dir}, nil
 }
 
 // path is the disk location of key's entry.
-func (c *Cache) path(key uint64) string {
+func (c *cache) path(key uint64) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%016x.gob", key))
 }
 
-// Get looks key up in both tiers, promoting disk hits into memory.
-func (c *Cache) Get(key uint64) (Measurement, bool) {
+// cacheGet looks key up in both tiers, promoting disk hits into memory.
+func cacheGet[T any](c *cache, key uint64) (T, bool) {
 	c.mu.Lock()
-	m, ok := c.mem[key]
+	v, ok := c.mem[key]
 	c.mu.Unlock()
-	if ok || c.dir == "" {
-		return m, ok
+	if ok {
+		t, ok := v.(T)
+		return t, ok
+	}
+	var t T
+	if c.dir == "" {
+		return t, false
 	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return Measurement{}, false
+		return t, false
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
-		os.Remove(c.path(key)) // corrupt entry: drop it and re-measure
-		return Measurement{}, false
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&t); err != nil {
+		os.Remove(c.path(key)) // corrupt entry: drop it and re-run
+		var zero T
+		return zero, false
 	}
 	c.mu.Lock()
-	c.mem[key] = m
+	c.mem[key] = t
 	c.mu.Unlock()
-	return m, true
+	return t, true
 }
 
-// Put stores key in memory and, when configured, on disk. Disk writes go
-// through a temp file and rename, so a crash can leave at worst a stray
-// .tmp, never a torn entry; write failures silently degrade to memory-only
-// caching (the result itself is already safe in the memory tier).
-func (c *Cache) Put(key uint64, m Measurement) {
+// cachePut stores v under key in memory and, when configured, on disk. Disk
+// writes go through a temp file and rename, so a crash can leave at worst a
+// stray .tmp, never a torn entry; write failures silently degrade to
+// memory-only caching (the result itself is already safe in the memory
+// tier).
+func cachePut[T any](c *cache, key uint64, v T) {
 	c.mu.Lock()
-	c.mem[key] = m
+	c.mem[key] = v
 	c.mu.Unlock()
 	if c.dir == "" {
 		return
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return
 	}
 	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
@@ -95,7 +102,7 @@ func (c *Cache) Put(key uint64, m Measurement) {
 }
 
 // Len reports the number of in-memory entries (for tests and telemetry).
-func (c *Cache) Len() int {
+func (c *cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.mem)

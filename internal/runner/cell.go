@@ -2,9 +2,7 @@ package runner
 
 import (
 	"fmt"
-	"hash/fnv"
 
-	"lukewarm/internal/cluster"
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/faults"
@@ -28,7 +26,11 @@ import (
 // composition semantics).
 // v5: TrafficSummary gained the readiness-tier partition and the predictive
 // pre-warm ledger (internal/predict).
-const SchemaVersion = 5
+// v6: keys render a job's whole value under its type name (Key) instead of
+// a hand-written field list plus a variant tag, and Measurement lost its
+// Traffic and Cluster fields: traffic and fleet jobs cache their summaries
+// as results of their own type.
+const SchemaVersion = 6
 
 // Mode selects the execution regime of a measurement cell.
 type Mode uint8
@@ -50,11 +52,11 @@ func (m Mode) String() string {
 	return "lukewarm"
 }
 
-// Cell describes one independent simulation: which workload runs on which
-// platform under which regime, and how much of it is measured. Cells are
-// pure values — the executor builds a fresh server from the content, so two
-// cells with equal content always produce equal measurements. That property
-// is what makes them content-addressable.
+// Cell is the standard job: which workload runs on which platform under
+// which regime, and how much of it is measured. Cells are pure values — Run
+// builds a fresh server from the content, so two cells with equal content
+// always produce equal measurements. That property is what makes them
+// content-addressable.
 type Cell struct {
 	// Workload names the function (workload.ByName).
 	Workload string
@@ -74,19 +76,12 @@ type Cell struct {
 	// Audit cross-checks every measured invocation against the faults
 	// package's conservation invariants.
 	Audit bool
-	// Variant tags cells that need a custom executor (Engine.MeasureFunc):
-	// comparator prefetchers, compaction, snapshot adoption. Standard cells
-	// leave it empty. The tag participates in the cache key, so custom
-	// setups can never collide with standard ones.
-	Variant string
 }
 
 // Label names the cell in progress lines and telemetry.
 func (c Cell) Label() string {
 	tag := c.Mode.String()
 	switch {
-	case c.Variant != "":
-		tag = c.Variant
 	case c.Reap != nil && c.Jukebox != nil:
 		tag = "reap+jukebox"
 	case c.Reap != nil:
@@ -99,31 +94,9 @@ func (c Cell) Label() string {
 	return c.Workload + "/" + tag
 }
 
-// Key returns the cell's content address: an FNV-1a hash over a canonical
-// rendering of every field that influences the measurement, plus the schema
-// version. Configurations are flat value structs, so their fmt rendering is
-// canonical; any config change — a cache size, a Jukebox budget, a penalty
-// cycle — lands the cell at a different address.
-func (c Cell) Key() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "schema=%d|wl=%s|cpu=%+v|perfect=%t|mode=%d|warm=%d|meas=%d|audit=%t|variant=%s",
-		SchemaVersion, c.Workload, c.CPU, c.Perfect, c.Mode, c.Warmup, c.Measure, c.Audit, c.Variant)
-	if c.Jukebox != nil {
-		fmt.Fprintf(h, "|jb=%+v", *c.Jukebox)
-	} else {
-		fmt.Fprintf(h, "|jb=nil")
-	}
-	if c.Reap != nil {
-		fmt.Fprintf(h, "|reap=%+v", *c.Reap)
-	} else {
-		fmt.Fprintf(h, "|reap=nil")
-	}
-	return h.Sum64()
-}
-
-// Measurement aggregates one cell's measurement window. It is the unit of
-// caching: every field is a plain exported value, so it round-trips through
-// gob unchanged.
+// Measurement aggregates one measurement window, the result of a Cell and of
+// most custom measurement jobs. Every field is a plain exported value, so it
+// round-trips through the disk cache's gob encoding unchanged.
 type Measurement struct {
 	Stack  topdown.Stack
 	Instrs uint64
@@ -139,18 +112,10 @@ type Measurement struct {
 	// FirstInvCycles is the first measured invocation's cycle count, the
 	// start latency the coldstart comparator surfaces.
 	FirstInvCycles mem.Cycle
-	// MetaBytes is the per-instance metadata cost a custom executor chose to
+	// MetaBytes is the per-instance metadata cost a custom job chose to
 	// report (comparator prefetchers); zero for standard cells, whose
 	// Jukebox cost is in JB.
 	MetaBytes int
-	// Traffic holds a whole-server traffic simulation's summary for cells
-	// whose custom executor runs ServeTraffic instead of a per-instance
-	// measurement window (the scheduling experiment); nil for standard
-	// cells.
-	Traffic *serverless.TrafficSummary
-	// Cluster holds a fleet simulation's summary for cells whose custom
-	// executor runs cluster.Run (the cluster experiment); nil otherwise.
-	Cluster *cluster.Summary
 }
 
 // CPI reports the window's cycles per instruction.
@@ -169,20 +134,26 @@ func (m Measurement) MPKI(s mem.CacheStats, k mem.Kind) float64 {
 	return float64(s.DemandMisses[k]) / float64(m.Instrs) * 1000
 }
 
-// Execute runs one standard cell from scratch: a fresh single-purpose server,
-// one deployed instance, warmup then measurement. It is the default executor
-// behind Engine.Measure.
-func Execute(c Cell) (Measurement, error) {
-	if c.Variant != "" {
-		return Measurement{}, fmt.Errorf("runner: cell %s has variant %q but no custom executor", c.Label(), c.Variant)
-	}
-	w, err := workload.ByName(c.Workload)
+// Run executes the cell from scratch: a fresh single-purpose server, one
+// deployed instance, warmup then measurement.
+func (c Cell) Run() (Measurement, error) {
+	srv, inst, err := c.Deploy()
 	if err != nil {
 		return Measurement{}, err
 	}
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap, PerfectICache: c.Perfect})
-	inst := srv.Deploy(w)
 	return MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+}
+
+// Deploy builds the cell's single-purpose server and deploys its workload.
+// Custom jobs that embed a Cell start from it, then prepare and measure the
+// instance their own way.
+func (c Cell) Deploy() (*serverless.Server, *serverless.Instance, error) {
+	w, err := workload.ByName(c.Workload)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap, PerfectICache: c.Perfect})
+	return srv, srv.Deploy(w), nil
 }
 
 // MeasureInstance runs warmup then measure invocations of inst under md on
@@ -222,7 +193,7 @@ func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode,
 
 // MeasureWindow resets the counters of srv and inst, runs n invocations
 // through invoke, and returns the window's aggregated measurement. Custom
-// executors that prepare each invocation their own way (evict, idle, flush)
+// jobs that prepare each invocation their own way (evict, idle, flush)
 // call it after their own warm-up. With audit set, every invocation and the
 // instance's Jukebox and REAP ledgers are checked against the faults
 // package's invariants.

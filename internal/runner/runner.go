@@ -5,7 +5,7 @@
 // byte-identical regardless of the worker count.
 //
 // On top of the pool the engine layers a content-addressed memoization cache
-// (see cell.go for the key definition and cache.go for the tiers) and run
+// (see job.go for the key definition and cache.go for the tiers) and run
 // telemetry: per-cell wall time, cache hit/miss counters, and optional live
 // progress lines. The experiment runners in internal/experiments submit all
 // their measurements through one Engine, which the lukewarm CLI configures
@@ -61,7 +61,7 @@ type Config struct {
 // not usable.
 type Engine struct {
 	jobs     int
-	cache    *Cache
+	cache    *cache
 	progress io.Writer
 	now      func() time.Time // telemetry clock seam; see Config.Now
 
@@ -79,7 +79,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
-	cache, err := NewCache(cfg.CacheDir)
+	c, err := newCache(cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func New(cfg Config) (*Engine, error) {
 		//lukewarm:wallclock the engine's sole wall-clock seam; telemetry only, tests inject Config.Now
 		cfg.Now = time.Now
 	}
-	return &Engine{jobs: cfg.Jobs, cache: cache, progress: cfg.Progress, now: cfg.Now}, nil
+	return &Engine{jobs: cfg.Jobs, cache: c, progress: cfg.Progress, now: cfg.Now}, nil
 }
 
 // Default builds the engine experiments fall back on when the caller did not
@@ -151,16 +151,15 @@ func (e *Engine) note(done, total int, label string, wall time.Duration, hit boo
 }
 
 // MapOn runs fn(i) for every i in [0, n) on the engine's worker pool and
-// returns the results in index order — the deterministic-merge primitive the
-// cell API is built on. Use it directly for experiment units that are not
-// plain measurement cells (traffic simulations, footprint walks, chaos
-// cells). label(i) names unit i in progress lines. All units run even if one
-// fails; the returned error is the failing unit with the lowest index, so
-// error reporting is as deterministic as the results.
+// returns the results in index order — the deterministic-merge primitive Run
+// is built on. Use it directly for uncached experiment units (footprint
+// walks, chaos cells, traffic runs over shared programs). label(i) names
+// unit i in progress lines. All units run even if one fails; the returned
+// error is the failing unit with the lowest index, so error reporting is as
+// deterministic as the results.
 //
-// fn must not call MapOn or the Measure methods on the same engine (workers
-// would deadlock waiting for themselves); Engine.Cached is the re-entrant
-// way to memoize sub-measurements inside a unit.
+// fn must not call MapOn, Run or Measure on the same engine: workers would
+// deadlock waiting for themselves.
 func MapOn[T any](e *Engine, n int, label func(int) string, fn func(int) (T, error)) ([]T, error) {
 	return mapHit(e, n, label, func(i int) (T, bool, error) {
 		v, err := fn(i)
@@ -215,43 +214,32 @@ func mapHit[T any](e *Engine, n int, label func(int) string, fn func(int) (T, bo
 	return results, nil
 }
 
-// Measure executes a batch of standard cells (Variant == "") through the
-// pool and the cache, returning measurements in cell order.
-func (e *Engine) Measure(cells []Cell) ([]Measurement, error) {
-	return e.MeasureFunc(cells, Execute)
-}
-
-// MeasureFunc is Measure with a custom executor, for cells whose server
-// setup goes beyond Execute's (attached comparator prefetchers, mid-run
-// page compaction, snapshot adoption...). Such cells carry a non-empty
-// Variant naming the setup, which keys the cache alongside the standard
-// fields; exec is only invoked on cache misses.
-func (e *Engine) MeasureFunc(cells []Cell, exec func(Cell) (Measurement, error)) ([]Measurement, error) {
-	return mapHit(e, len(cells), func(i int) string { return cells[i].Label() },
-		func(i int) (Measurement, bool, error) {
-			return e.lookup(cells[i], exec)
+// Run executes jobs through the pool and the result cache, returning their
+// results in job order. A batch is either one job type or, as []Job[T], a
+// mix of types with one result type. Every job is keyed (see Key) before
+// any runs, so a job without a canonical rendering fails the batch at
+// submission; a job's Run is invoked only on cache misses.
+func Run[T any, J Job[T]](e *Engine, jobs []J) ([]T, error) {
+	keys := make([]uint64, len(jobs))
+	for i, j := range jobs {
+		k, err := Key(j)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = k
+	}
+	return mapHit(e, len(jobs), func(i int) string { return jobs[i].Label() },
+		func(i int) (T, bool, error) {
+			if v, ok := cacheGet[T](e.cache, keys[i]); ok {
+				return v, true, nil
+			}
+			v, err := jobs[i].Run()
+			if err == nil {
+				cachePut(e.cache, keys[i], v)
+			}
+			return v, false, err
 		})
 }
 
-// Cached memoizes one cell through the engine's cache, executing it on a
-// miss. Unlike the batch methods it runs on the caller's goroutine, so it is
-// safe (and intended) to call from inside a MapOn unit that needs cacheable
-// sub-measurements.
-func (e *Engine) Cached(c Cell, exec func(Cell) (Measurement, error)) (Measurement, error) {
-	m, _, err := e.lookup(c, exec)
-	return m, err
-}
-
-// lookup is the cache-or-execute core shared by MeasureFunc and Cached.
-func (e *Engine) lookup(c Cell, exec func(Cell) (Measurement, error)) (Measurement, bool, error) {
-	key := c.Key()
-	if m, ok := e.cache.Get(key); ok {
-		return m, true, nil
-	}
-	m, err := exec(c)
-	if err != nil {
-		return m, false, err
-	}
-	e.cache.Put(key, m)
-	return m, false, nil
-}
+// Measure runs a batch of standard cells (see Run).
+func (e *Engine) Measure(cells []Cell) ([]Measurement, error) { return Run(e, cells) }

@@ -11,8 +11,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lukewarm/internal/cluster"
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/faults"
+	"lukewarm/internal/reap"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/workload"
 )
@@ -89,9 +92,19 @@ func TestMapOnEmpty(t *testing.T) {
 	}
 }
 
+// mustKey is Key for jobs that must have a canonical rendering.
+func mustKey(t *testing.T, job any) uint64 {
+	t.Helper()
+	k, err := Key(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 func TestCellKey(t *testing.T) {
 	base := Cell{Workload: "Auth-G", CPU: cpu.SkylakeConfig(), Mode: Lukewarm, Warmup: 1, Measure: 2}
-	if base.Key() != base.Key() {
+	if mustKey(t, base) != mustKey(t, base) {
 		t.Error("key not deterministic")
 	}
 	jb := core.DefaultConfig()
@@ -100,7 +113,7 @@ func TestCellKey(t *testing.T) {
 	withJB.Jukebox = &jb
 	sameJB := base
 	sameJB.Jukebox = &jb2
-	if withJB.Key() != sameJB.Key() {
+	if mustKey(t, withJB) != mustKey(t, sameJB) {
 		t.Error("equal Jukebox configs behind distinct pointers must share a key")
 	}
 	mutants := []func(*Cell){
@@ -111,25 +124,69 @@ func TestCellKey(t *testing.T) {
 		func(c *Cell) { c.Warmup = 9 },
 		func(c *Cell) { c.Measure = 9 },
 		func(c *Cell) { c.Audit = true },
-		func(c *Cell) { c.Variant = "custom" },
+		func(c *Cell) { c.CPU.Hier.L2.SizeBytes *= 2 },
 		func(c *Cell) { jb := core.DefaultConfig(); c.Jukebox = &jb },
 		func(c *Cell) { jb := core.DefaultConfig(); jb.MetadataBytes *= 2; c.Jukebox = &jb },
+		func(c *Cell) { rc := reap.DefaultConfig(); c.Reap = &rc },
 	}
-	seen := map[uint64]int{base.Key(): -1}
+	seen := map[uint64]int{mustKey(t, base): -1}
 	for i, mutate := range mutants {
 		c := base
 		mutate(&c)
-		if prev, dup := seen[c.Key()]; dup {
+		k := mustKey(t, c)
+		if prev, dup := seen[k]; dup {
 			t.Errorf("mutant %d collides with %d", i, prev)
 		}
-		seen[c.Key()] = i
+		seen[k] = i
+	}
+	// The type name is part of the key: a job type wrapping a cell never
+	// shares an address with the cell itself.
+	if mustKey(t, base) == mustKey(t, wrapped{base}) {
+		t.Error("a wrapper job type shares its cell's key")
 	}
 }
 
-func TestExecuteRejectsVariantCells(t *testing.T) {
-	_, err := Execute(Cell{Workload: "Auth-G", CPU: cpu.SkylakeConfig(), Variant: "custom", Measure: 1})
-	if err == nil {
-		t.Fatal("Execute accepted a variant cell")
+// wrapped is a custom job type with the same content as a Cell.
+type wrapped struct{ Cell }
+
+// countedRuns counts counted.Run executions.
+var countedRuns atomic.Int64
+
+// counted is a custom job that squares N.
+type counted struct {
+	Name string
+	N    int
+}
+
+func (j counted) Label() string { return j.Name }
+
+func (j counted) Run() (int, error) {
+	countedRuns.Add(1)
+	return j.N * j.N, nil
+}
+
+// unkeyable holds a func, which has no canonical rendering.
+type unkeyable struct{ F func() }
+
+func (unkeyable) Label() string     { return "unkeyable" }
+func (unkeyable) Run() (int, error) { return 0, nil }
+
+func TestRunRejectsUnkeyableJobs(t *testing.T) {
+	e := testEngine(t, 2)
+	countedRuns.Store(0)
+	jobs := []Job[int]{counted{Name: "ok", N: 1}, unkeyable{F: func() {}}}
+	if _, err := Run(e, jobs); err == nil || !strings.Contains(err.Error(), "canonical") {
+		t.Fatalf("Run accepted a job holding a func: err = %v", err)
+	}
+	if n := countedRuns.Load(); n != 0 || e.Stats().Cells != 0 {
+		t.Errorf("a rejected batch ran %d jobs (stats %+v), want none", n, e.Stats())
+	}
+	// A nil func renders canonically.
+	if _, err := Key(unkeyable{}); err != nil {
+		t.Errorf("Key(nil func field) = %v, want accepted", err)
+	}
+	if _, err := Key(struct{ M map[string]int }{M: map[string]int{"a": 1}}); err == nil {
+		t.Error("Key accepted a non-nil map")
 	}
 }
 
@@ -174,35 +231,36 @@ func TestMeasureMemoizes(t *testing.T) {
 	}
 }
 
-func TestMeasureFuncCustomExecutorAndCachedReentrancy(t *testing.T) {
+func TestRunCustomJobs(t *testing.T) {
 	e := testEngine(t, 4)
-	var execs atomic.Int64
-	exec := func(c Cell) (Measurement, error) {
-		execs.Add(1)
-		return Measurement{Instrs: uint64(len(c.Variant))}, nil
+	countedRuns.Store(0)
+	jobs := []Job[int]{
+		counted{Name: "a", N: 2},
+		counted{Name: "b", N: 3},
+		counted{Name: "a", N: 2}, // same content as jobs[0]
 	}
-	cells := []Cell{
-		{Workload: "Auth-G", Variant: "v1", Measure: 1},
-		{Workload: "Auth-G", Variant: "custom", Measure: 1},
-	}
-	ms, err := e.MeasureFunc(cells, exec)
+	got, err := Run(e, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms[0].Instrs != 2 || ms[1].Instrs != 6 {
-		t.Errorf("ms = %+v", ms)
+	if !reflect.DeepEqual(got, []int{4, 9, 4}) {
+		t.Errorf("results = %v, want [4 9 4]", got)
 	}
-	// Cached is the re-entrant path: memoized sub-measurements inside MapOn
-	// units must not deadlock and must hit the same cache.
-	_, err = MapOn(e, 4, func(int) string { return "outer" }, func(i int) (int, error) {
-		m, err := e.Cached(cells[0], exec)
-		return int(m.Instrs), err
-	})
+	// A second submission is served from the cache; a content change runs.
+	again, err := Run(e, append(jobs, counted{Name: "a", N: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := execs.Load(); n != 2 {
-		t.Errorf("executor ran %d times, want 2 (everything else cached)", n)
+	if !reflect.DeepEqual(again, []int{4, 9, 4, 25}) {
+		t.Errorf("results = %v, want [4 9 4 25]", again)
+	}
+	// jobs[0] and jobs[2] may both miss in the first batch (they run
+	// concurrently); everything in the second batch but the new job hits.
+	if n := countedRuns.Load(); n < 3 || n > 4 {
+		t.Errorf("jobs ran %d times, want 3 or 4", n)
+	}
+	if st := e.Stats(); st.CacheHits < 3 {
+		t.Errorf("stats = %+v, want the resubmitted jobs to hit", st)
 	}
 }
 
@@ -235,19 +293,19 @@ func TestSharedProgramConcurrentWalks(t *testing.T) {
 
 func TestCacheDiskTier(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCache(dir)
+	c1, err := newCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Measurement{Instrs: 123, Cycles: 456, MetaBytes: 7}
-	c1.Put(42, m)
+	cachePut(c1, 42, m)
 
 	// A fresh cache over the same directory must hit from disk.
-	c2, err := NewCache(dir)
+	c2, err := newCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get(42)
+	got, ok := cacheGet[Measurement](c2, 42)
 	if !ok || !reflect.DeepEqual(got, m) {
 		t.Fatalf("disk get = %+v, %v", got, ok)
 	}
@@ -260,7 +318,7 @@ func TestCacheDiskTier(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c2.Get(99); ok {
+	if _, ok := cacheGet[Measurement](c2, 99); ok {
 		t.Error("corrupt entry reported as hit")
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
@@ -268,8 +326,8 @@ func TestCacheDiskTier(t *testing.T) {
 	}
 
 	// Memory-only cache misses cleanly.
-	c3, _ := NewCache("")
-	if _, ok := c3.Get(42); ok {
+	c3, _ := newCache("")
+	if _, ok := cacheGet[Measurement](c3, 42); ok {
 		t.Error("memory-only cache hit a disk entry")
 	}
 }
@@ -300,6 +358,94 @@ func TestEngineDiskCacheAcrossProcessesSimulated(t *testing.T) {
 	if st := e2.Stats(); st.CacheHits != uint64(len(cells)) {
 		t.Errorf("second engine stats = %+v, want all hits", st)
 	}
+
+	// The disk tier stores each job's concrete result type: traffic and
+	// fleet summaries round-trip through a new engine unchanged.
+	tc := serverless.DefaultTrafficConfig()
+	tc.InvocationsPerInstance, tc.MeanIATms = 3, 50
+	funcs := []string{"Auth-G", "Email-P"}
+	traffic := []Job[serverless.TrafficSummary]{trafficJob{Funcs: funcs, Traffic: tc}}
+	fleet := []Job[cluster.Summary]{fleetJob{Funcs: funcs, Nodes: 2, Traffic: tc, FlakeProb: 0.3, Seed: 7}}
+	t1, err := Run(e1, traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := Run(e1, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3, err := New(Config{Jobs: 4, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3, err := Run(e3, traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f3, err := Run(e3, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e3.Stats(); st.CacheHits != 2 {
+		t.Errorf("third engine stats = %+v, want both summaries from disk", st)
+	}
+	if !reflect.DeepEqual(t1, t3) {
+		t.Errorf("disk-cached traffic summary differs:\n%+v\n%+v", t1, t3)
+	}
+	if !reflect.DeepEqual(f1, f3) {
+		t.Errorf("disk-cached fleet summary differs:\n%+v\n%+v", f1, f3)
+	}
+	if f1[0].DispatchFlakes == 0 || t1[0].Served == 0 {
+		t.Errorf("summaries too trivial to test the round trip: %+v %+v", t1[0], f1[0])
+	}
+}
+
+// trafficJob serves a short traffic run on one server.
+type trafficJob struct {
+	Funcs   []string
+	Traffic serverless.TrafficConfig
+}
+
+func (j trafficJob) Label() string { return "traffic" }
+
+func (j trafficJob) Run() (serverless.TrafficSummary, error) {
+	srv := serverless.New(serverless.Config{})
+	for _, n := range j.Funcs {
+		w, err := workload.ByName(n)
+		if err != nil {
+			return serverless.TrafficSummary{}, err
+		}
+		srv.Deploy(w)
+	}
+	res, err := srv.ServeTraffic(j.Traffic)
+	return res.Summary(), err
+}
+
+// fleetJob runs a small fleet with flaky dispatch and one retry.
+type fleetJob struct {
+	Funcs     []string
+	Nodes     int
+	Traffic   serverless.TrafficConfig
+	FlakeProb float64
+	Seed      uint64
+}
+
+func (j fleetJob) Label() string { return "fleet" }
+
+func (j fleetJob) Run() (cluster.Summary, error) {
+	cfg := cluster.Config{
+		Nodes: j.Nodes, Traffic: j.Traffic, RetryMax: 1, RetryBackoffMs: 2,
+		Faults: faults.NewPlan(j.Seed, faults.DispatchFlake), DispatchFlakeProb: j.FlakeProb,
+	}
+	for _, n := range j.Funcs {
+		w, err := workload.ByName(n)
+		if err != nil {
+			return cluster.Summary{}, err
+		}
+		cfg.Workloads = append(cfg.Workloads, w)
+	}
+	res, err := cluster.Run(cfg)
+	return res.Summary(), err
 }
 
 func TestProgressLines(t *testing.T) {
@@ -344,7 +490,6 @@ func TestCellLabel(t *testing.T) {
 		{Cell{Workload: "W", Mode: Reference}, "W/ref"},
 		{Cell{Workload: "W", Jukebox: &jb}, "W/jukebox"},
 		{Cell{Workload: "W", Perfect: true}, "W/perfect"},
-		{Cell{Workload: "W", Variant: "v", Jukebox: &jb}, "W/v"},
 	} {
 		if got := tc.cell.Label(); got != tc.want {
 			t.Errorf("Label() = %q, want %q", got, tc.want)

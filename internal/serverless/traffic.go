@@ -320,8 +320,8 @@ func (r *TrafficResult) ColdStartRate() float64 {
 
 // ShedRate reports the fraction of offered invocations that were shed.
 func (r *TrafficResult) ShedRate() float64 {
-	if offered := r.Served + r.Shed; offered > 0 {
-		return float64(r.Shed) / float64(offered)
+	if r.Offered > 0 {
+		return float64(r.Shed) / float64(r.Offered)
 	}
 	return 0
 }
@@ -394,8 +394,8 @@ func (s TrafficSummary) ColdStartRate() float64 {
 
 // ShedRate mirrors TrafficResult.ShedRate.
 func (s TrafficSummary) ShedRate() float64 {
-	if offered := s.Served + s.Shed; offered > 0 {
-		return float64(s.Shed) / float64(offered)
+	if s.Offered > 0 {
+		return float64(s.Shed) / float64(s.Offered)
 	}
 	return 0
 }

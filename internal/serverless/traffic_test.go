@@ -2,6 +2,7 @@ package serverless
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -235,6 +236,19 @@ func TestServeTrafficShedsUnderOverload(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "shed") {
 		t.Errorf("summary does not report shedding: %s", res.String())
+	}
+	// ShedRate is a fraction of everything offered, failed invocations
+	// included (a fleet node's result has Failed > 0; ServeTraffic never
+	// fails one).
+	failed := res
+	failed.Failed = 6
+	failed.Offered = res.Served + res.Shed + failed.Failed
+	want := float64(res.Shed) / float64(failed.Offered)
+	if got := failed.ShedRate(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("ShedRate with %d failed = %g, want shed/offered = %g", failed.Failed, got, want)
+	}
+	if got := failed.Summary().ShedRate(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("TrafficSummary.ShedRate with %d failed = %g, want %g", failed.Failed, got, want)
 	}
 
 	// Deadline shedding: any invocation waiting longer than ShedAfterMs is
